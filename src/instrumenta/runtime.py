@@ -11,7 +11,7 @@ catches unbalanced instrumentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
 from .ir import RegionDescriptor
@@ -32,9 +32,8 @@ class UnbalancedExitError(TraceError):
 EventKind = Literal["E", "X", "D"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One trace record.
+class TraceEvent(NamedTuple):
+    """One trace record, an immutable and hashable tuple.
 
     Enter/Exit carry a handle and a timestamp in ticks; Definition
     records carry the full descriptor and use timestamp 0 (definitions
@@ -47,12 +46,17 @@ class TraceEvent:
     descriptor: RegionDescriptor | None = None
 
 
+# Builds a TraceEvent from a full 4-tuple without the generated __new__'s
+# argument handling, which costs more than the rest of recording an event;
+# used on the per-event paths of Monitor and read_trace.
+_new_event = tuple.__new__
+
+
 @dataclass
 class RegionRegistry:
-    """Maps region ids to handles and descriptors; handles from 2 up."""
+    """Maps region ids to handles; handles from 2 up."""
 
     handles: dict[int, int] = field(default_factory=dict)
-    descriptors: dict[int, RegionDescriptor] = field(default_factory=dict)
     next_handle: int = FIRST_VALID_HANDLE
 
 
@@ -90,7 +94,6 @@ class Monitor:
                 TraceEvent("D", 0, handle, replace(d, region_id=handle))
             )
         self.registry.handles[rid] = handle
-        self.registry.descriptors[rid] = d
         return handle, True
 
     def handle_for(self, region_id: int) -> int:
@@ -101,7 +104,7 @@ class Monitor:
             raise TraceError("enter with unregistered handle")
         if handle == FILTERED_REGION:
             return
-        self.events.append(TraceEvent("E", ts, handle))
+        self.events.append(_new_event(TraceEvent, ("E", ts, handle, None)))
         self.shadow_stack.append(handle)
 
     def on_exit(self, handle: int, ts: int) -> None:
@@ -115,7 +118,7 @@ class Monitor:
                 f"exit for handle {handle} while top of stack is {top}"
             )
         self.shadow_stack.pop()
-        self.events.append(TraceEvent("X", ts, handle))
+        self.events.append(_new_event(TraceEvent, ("X", ts, handle, None)))
 
 
 def register_region(
@@ -190,6 +193,54 @@ def _split_trace_line(line: str, lineno: int) -> list[str]:
     return fields
 
 
+def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
+    """Tokenise one line with the quote-aware scanner.
+
+    Returns None for a blank line.  A D record is checked and its handle
+    added to ``known``; an E/X record is only parsed, and read_trace
+    checks it against the trace state.
+    """
+    fields = _split_trace_line(line.strip(), lineno)
+    if not fields:
+        return None
+    kind = fields[0]
+    if kind == "D":
+        if len(fields) != 6:
+            raise TraceError(f"line {lineno}: malformed D record")
+        try:
+            handle = int(fields[1])
+            begin_s, _, end_s = fields[5].partition(":")
+            begin, end = int(begin_s), int(end_s)
+        except ValueError:
+            raise TraceError(f"line {lineno}: malformed D record") from None
+        if handle < FIRST_VALID_HANDLE:
+            raise TraceError(f"line {lineno}: handle {handle} is a sentinel")
+        if handle in known:
+            raise TraceError(f"line {lineno}: handle {handle} defined twice")
+        known.add(handle)
+        return TraceEvent(
+            "D",
+            0,
+            handle,
+            RegionDescriptor(
+                region_id=handle,
+                name=fields[2],
+                canonical_name=fields[3],
+                file=fields[4],
+                begin_lno=begin,
+                end_lno=end,
+            ),
+        )
+    if kind not in ("E", "X"):
+        raise TraceError(f"line {lineno}: unknown record kind '{kind}'")
+    if len(fields) != 3:
+        raise TraceError(f"line {lineno}: malformed {kind} record")
+    try:
+        return TraceEvent(kind, int(fields[1]), int(fields[2]))
+    except ValueError:
+        raise TraceError(f"line {lineno}: malformed {kind} record") from None
+
+
 def read_trace(text: str) -> list[TraceEvent]:
     """Parse and validate a trace.
 
@@ -202,73 +253,41 @@ def read_trace(text: str) -> list[TraceEvent]:
     known: set[int] = set()
     stack: list[int] = []
     last_ts = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = _split_trace_line(line, lineno)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # Fast path: an E/X record as written, three single-space-separated
+        # fields.  When int() accepts both numbers, the scanner would have
+        # produced the same fields (int() ignores only whitespace that
+        # strip() removes too).  Every other line, including one whose
+        # numbers int() rejects, is decided by the scanner.
+        fields = line.split(" ")
         kind = fields[0]
-        if kind == "D":
-            if len(fields) != 6:
-                raise TraceError(f"line {lineno}: malformed D record")
-            try:
-                handle = int(fields[1])
-                begin_s, _, end_s = fields[5].partition(":")
-                begin, end = int(begin_s), int(end_s)
-            except ValueError:
-                raise TraceError(f"line {lineno}: malformed D record") from None
-            if handle < FIRST_VALID_HANDLE:
-                raise TraceError(f"line {lineno}: handle {handle} is a sentinel")
-            if handle in known:
-                raise TraceError(f"line {lineno}: handle {handle} defined twice")
-            known.add(handle)
-            events.append(
-                TraceEvent(
-                    "D",
-                    0,
-                    handle,
-                    RegionDescriptor(
-                        region_id=handle,
-                        name=fields[2],
-                        canonical_name=fields[3],
-                        file=fields[4],
-                        begin_lno=begin,
-                        end_lno=end,
-                    ),
-                )
-            )
-        elif kind in ("E", "X"):
-            if len(fields) != 3:
-                raise TraceError(f"line {lineno}: malformed {kind} record")
-            try:
-                ts = int(fields[1])
-                handle = int(fields[2])
-            except ValueError:
-                raise TraceError(f"line {lineno}: malformed {kind} record") from None
-            if handle not in known:
-                raise TraceError(f"line {lineno}: unknown handle {handle}")
-            if ts < last_ts:
-                raise TraceError(f"line {lineno}: decreasing timestamp {ts}")
-            last_ts = ts
-            if kind == "E":
-                stack.append(handle)
-            else:
-                if not stack or stack[-1] != handle:
-                    raise UnbalancedExitError(
-                        f"line {lineno}: exit {handle} does not match innermost enter"
-                    )
-                stack.pop()
-            events.append(TraceEvent(kind, ts, handle))
+        try:
+            if len(fields) != 3 or kind not in ("E", "X"):
+                raise ValueError
+            ts = int(fields[1])
+            handle = int(fields[2])
+        except ValueError:
+            record = _scan_record(line, lineno, known)
+            if record is None:
+                continue
+            if record.kind == "D":
+                events.append(record)
+                continue
+            kind, ts, handle, _ = record
+        if handle not in known:
+            raise TraceError(f"line {lineno}: unknown handle {handle}")
+        if ts < last_ts:
+            raise TraceError(f"line {lineno}: decreasing timestamp {ts}")
+        last_ts = ts
+        if kind == "E":
+            stack.append(handle)
         else:
-            raise TraceError(f"line {lineno}: unknown record kind '{kind}'")
+            if not stack or stack[-1] != handle:
+                raise UnbalancedExitError(
+                    f"line {lineno}: exit {handle} does not match innermost enter"
+                )
+            stack.pop()
+        events.append(_new_event(TraceEvent, (kind, ts, handle, None)))
     if stack:
         raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
     return events
-
-
-def read_trace_descriptor(events: list[TraceEvent], handle: int) -> RegionDescriptor:
-    for ev in events:
-        if ev.kind == "D" and ev.handle == handle:
-            assert ev.descriptor is not None
-            return ev.descriptor
-    raise TraceError(f"no definition for handle {handle}")

@@ -181,3 +181,214 @@ class TestTraceIo:
             text = write_trace(events)
             assert read_trace(text) == events
             assert write_trace(read_trace(text)) == text
+
+
+class TestTraceEventContract:
+    def test_fields_are_immutable(self):
+        ev = TraceEvent("E", 5, 2)
+        for name in ("kind", "timestamp", "handle", "descriptor"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, None)
+
+    def test_descriptor_defaults_to_none(self):
+        ev = TraceEvent("X", 9, 3)
+        assert (ev.kind, ev.timestamp, ev.handle, ev.descriptor) == ("X", 9, 3, None)
+
+    def test_hashable_and_equal_by_value(self):
+        d = TraceEvent("D", 0, 2, RegionDescriptor(2, "f", "f", "a.c", 1, 1))
+        e = TraceEvent("E", 1, 2)
+        assert TraceEvent("E", 1, 2) == e and hash(TraceEvent("E", 1, 2)) == hash(e)
+        assert e != TraceEvent("X", 1, 2)
+        assert len({d, e, TraceEvent("E", 1, 2), d}) == 2
+
+    def test_monitor_and_trace_io_produce_hand_built_events(self):
+        m = Monitor()
+        handle, _ = m.register_region(DESC)
+        m.on_enter(handle, 5)
+        m.on_exit(handle, 9)
+        expected = [
+            TraceEvent("D", 0, 2, RegionDescriptor(2, "func(int)", "_Z4funci", "a.c", 13, 21)),
+            TraceEvent("E", 5, 2),
+            TraceEvent("X", 9, 2),
+        ]
+        for events in (m.events, read_trace(write_trace(m.events))):
+            assert events == expected
+            assert all(type(ev) is TraceEvent for ev in events)
+            assert [hash(ev) for ev in events] == [hash(ev) for ev in expected]
+
+
+# ---------------------------------------------------------------------------
+# Differential check of read_trace against a reference reader that splits
+# every line with the quote-aware scanner and validates it in one loop.
+# read_trace must accept and reject exactly the same texts, with the same
+# exception class and message.
+
+
+def _reference_split(line, lineno):
+    fields = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i] == " ":
+            i += 1
+            continue
+        if line[i] == '"':
+            j = i + 1
+            out = []
+            while j < n:
+                if line[j] == "\\":
+                    if j + 1 >= n or line[j + 1] not in ('"', "\\"):
+                        raise TraceError(f"line {lineno}: bad escape")
+                    out.append(line[j + 1])
+                    j += 2
+                    continue
+                if line[j] == '"':
+                    break
+                out.append(line[j])
+                j += 1
+            else:
+                raise TraceError(f"line {lineno}: unterminated string")
+            fields.append("".join(out))
+            i = j + 1
+        else:
+            j = line.find(" ", i)
+            if j == -1:
+                j = n
+            fields.append(line[i:j])
+            i = j
+    return fields
+
+
+def reference_read_trace(text):
+    events = []
+    known = set()
+    stack = []
+    last_ts = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = _reference_split(line, lineno)
+        kind = fields[0]
+        if kind == "D":
+            if len(fields) != 6:
+                raise TraceError(f"line {lineno}: malformed D record")
+            try:
+                handle = int(fields[1])
+                begin_s, _, end_s = fields[5].partition(":")
+                begin, end = int(begin_s), int(end_s)
+            except ValueError:
+                raise TraceError(f"line {lineno}: malformed D record") from None
+            if handle < FIRST_VALID_HANDLE:
+                raise TraceError(f"line {lineno}: handle {handle} is a sentinel")
+            if handle in known:
+                raise TraceError(f"line {lineno}: handle {handle} defined twice")
+            known.add(handle)
+            events.append(
+                TraceEvent(
+                    "D", 0, handle,
+                    RegionDescriptor(handle, fields[2], fields[3], fields[4], begin, end),
+                )
+            )
+        elif kind in ("E", "X"):
+            if len(fields) != 3:
+                raise TraceError(f"line {lineno}: malformed {kind} record")
+            try:
+                ts = int(fields[1])
+                handle = int(fields[2])
+            except ValueError:
+                raise TraceError(f"line {lineno}: malformed {kind} record") from None
+            if handle not in known:
+                raise TraceError(f"line {lineno}: unknown handle {handle}")
+            if ts < last_ts:
+                raise TraceError(f"line {lineno}: decreasing timestamp {ts}")
+            last_ts = ts
+            if kind == "E":
+                stack.append(handle)
+            else:
+                if not stack or stack[-1] != handle:
+                    raise UnbalancedExitError(
+                        f"line {lineno}: exit {handle} does not match innermost enter"
+                    )
+                stack.pop()
+            events.append(TraceEvent(kind, ts, handle))
+        else:
+            raise TraceError(f"line {lineno}: unknown record kind '{kind}'")
+    if stack:
+        raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
+    return events
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+def assert_same_as_reference(text):
+    assert _outcome(read_trace, text) == _outcome(reference_read_trace, text), repr(text)
+
+
+# Handles 2 and 3 are defined and 2 is open at timestamp 1 before the line
+# under test; each suffix closes what an accepted E or X line leaves open.
+_PREFIX = 'D 2 "f" "f" "a.c" 1:1\nD 3 "g" "g" "b.c" 2:2\nE 1 2\n'
+_SUFFIXES = ("", "\nX 9 2\n", "\nX 9 3\nX 9 2\n", "\nX 9 2\nX 9 2")
+
+ADVERSARIAL_LINES = [
+    "E 5 3", "X 5 2", "E 5 2", "X 5 3", "E 0 3", "X 1 2",
+    # spacing
+    "E  5 3", "E 5  3", "  E 5 3", "E 5 3  ", " X 5 2 ", "E 5 3 ", " E 5 3",
+    "E 5", "E", "X", "E 5 3 4", "E 5 3 4 5", "X  5", "E 5 ", "E  3", " ",
+    # tabs and other whitespace inside or around fields
+    "E\t5 3", "E 5\t3", "E 5 3\t", "\tE 5 3", "E \t5 3", "E 5\t 3", "E 5 \t3",
+    "E 5 \t", "E \t 3", "X 5 2\t ", "E 5 3\u3000", "\u3000E 5 3", "E \u30005 3",
+    "E 5\u3000 3", "E\u30005 3", "E 5 3\xa0", "E 5\xa0 3", "E 5 3\x1f", "E 5 3\u200b",
+    "E 5\r3", "E 5 3\r", "E 5\x0b3", "X 5\x1c2", "E 5 3\u2028X 6 3", "E 5 3\x85",
+    # numerals int() accepts or rejects
+    "E +5 3", "E 5 +3", "E 1_0 3", "E 5 1_3", "E -1 3", "E 5 -3", "E 05 3",
+    "E 5 03", "E \u0665 3", "E 5 \u0663", "E 0x5 3", "E 5.0 3", "E 1__0 3",
+    "E _1 3", "E 1_ 3", "E 5 3.", "E  +5 3", "E 99999999999999999999999 3",
+    "E -0 3", "E 5 2_", "E ++5 3", "E 5 1e1", "E 5 " + "3" * 5000,
+    # quoted fields
+    'E "5" 3', 'E 5 "3"', 'X "5" "2"', 'E "5"3', 'E 5"3"', 'E "5 3"', 'E "" 3',
+    'E 5 ""', '"E" 5 3', 'E "+5" 3', 'E " 5" 3', 'E "5\\"" 3', 'E 5 3"',
+    'E 5 "3', 'E "5', '"', '""', 'E 5 3 ""', 'E 5 "\\x"', 'E 5 "\\',
+    # unknown kinds
+    "Q 5 3", "e 5 3", "x 5 2", "EX 5 3", "E5 3", "D5 3", "0 5 3", "\u0395 5 3",
+    # definitions
+    'D 4 "h" "h" "c.c" 1:2', 'D  4 "h" "h" "c.c" 1:2', 'D 4 "h" "h" "c.c" 1:2 ',
+    'D 4 "h"  "h" "c.c" 1:2', 'D\t4 "h" "h" "c.c" 1:2', 'D 4 "h" "h" "c.c" +1:2',
+    'D 4 "h" "h" "c.c" 1:', 'D 4 "h" "h" "c.c" 1', 'D 4 "h" "h" "c.c" 1:2:3',
+    'D 4 "h" "h" "c.c"', 'D 4 "h" "h" "c.c" 1:2 9', 'D 1 "h" "h" "c.c" 1:2',
+    'D 2 "h" "h" "c.c" 1:2', 'D 4 h h c.c 1:2', 'D 4 "h\\x" "h" "c.c" 1:2',
+    'D 4 "h "h" "c.c" 1:2', 'D 4 "a\\"b" "c\\\\d" "e f" 1:2', 'D "4" "h" "h" "c.c" 1:2',
+    'D 4 "h""h" "c.c" 1:2', "D 4 \"h\" \"h\" \"c.c\" \u0661:2", 'D', 'D ""',
+]
+
+
+@pytest.mark.parametrize("line", ADVERSARIAL_LINES, ids=lambda line: line[:40])
+def test_adversarial_line_matches_reference(line):
+    for suffix in _SUFFIXES:
+        assert_same_as_reference(_PREFIX + line + suffix)
+        assert_same_as_reference(line + suffix)
+
+
+def test_random_token_lines_match_reference():
+    tokens = ["E", "X", "D", "Q", "2", "3", "5", "+5", "1_0", "-1", '"5"', '"3"',
+              '"', '""', '"\\"', "\t", "\u3000", "\r", "\u0665", "x", "1:2", "_"]
+    seps = [" ", " ", " ", "  ", "", "\t"]
+    rng = random.Random(11)
+    for _ in range(3000):
+        parts = [rng.choice(tokens) for _ in range(rng.randint(1, 5))]
+        line = "".join(p + rng.choice(seps) for p in parts)
+        assert_same_as_reference(_PREFIX + line + rng.choice(_SUFFIXES))
+
+
+def test_generated_traces_roundtrip_and_match_reference():
+    for seed in range(250):
+        events = gens.trace_events(random.Random(seed))
+        text = write_trace(events)
+        assert read_trace(text) == events
+        assert reference_read_trace(text) == events
+        assert write_trace(read_trace(text)) == text
