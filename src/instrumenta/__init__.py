@@ -26,6 +26,7 @@ from .runtime import (
     FILTERED_REGION,
     INVALID_REGION,
     Monitor,
+    Trace,
     TraceEvent,
     read_trace,
     write_trace,
@@ -52,6 +53,7 @@ __all__ = [
     "OptLevel",
     "Profile",
     "RegionDescriptor",
+    "Trace",
     "TraceEvent",
     "build_profile",
     "classify",

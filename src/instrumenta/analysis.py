@@ -8,9 +8,10 @@ per visit are emitted as compile-time exclude rules.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .runtime import TraceError, TraceEvent
+from .runtime import Trace, TraceError, TraceEvent
 
 
 @dataclass
@@ -30,39 +31,42 @@ class Profile:
     total_events: int = 0
 
 
-def build_profile(trace: list[TraceEvent]) -> Profile:
+def build_profile(trace: Iterable[TraceEvent]) -> Profile:
     """Aggregate a trace via a stack replay.
 
     Inclusive time of a region sums exit-minus-enter over its visits;
     exclusive time subtracts the intervals of enclosed child visits.
     The trace must be balanced.
     """
+    trace = Trace.of(trace)
+    definitions = trace.definitions
     profile = Profile()
+    entries = profile.entries
     stack: list[list] = []  # [handle, enter_ts, child_ticks]
-    for ev in trace:
-        if ev.kind == "D":
-            d = ev.descriptor
-            assert d is not None
-            profile.entries[ev.handle] = ProfileEntry(d.name, d.canonical_name)
-        elif ev.kind == "E":
-            if ev.handle not in profile.entries:
-                raise TraceError(f"enter for undefined handle {ev.handle}")
-            profile.total_events += 1
-            stack.append([ev.handle, ev.timestamp, 0])
-        else:
-            profile.total_events += 1
-            if not stack or stack[-1][0] != ev.handle:
-                raise TraceError(f"unbalanced exit for handle {ev.handle}")
+    for code, ts in zip(trace.codes, trace.stamps):
+        if code > 0:
+            if code not in entries:
+                raise TraceError(f"enter for undefined handle {code}")
+            stack.append([code, ts, 0])
+        elif code < 0:
+            if not stack or stack[-1][0] != -code:
+                raise TraceError(f"unbalanced exit for handle {-code}")
             handle, enter_ts, child = stack.pop()
-            duration = ev.timestamp - enter_ts
-            entry = profile.entries[handle]
+            duration = ts - enter_ts
+            entry = entries[handle]
             entry.visits += 1
             entry.inclusive_ticks += duration
             entry.exclusive_ticks += duration - child
             if stack:
                 stack[-1][2] += duration
+        else:
+            ev = definitions[ts]
+            d = ev.descriptor
+            assert d is not None
+            entries[ev.handle] = ProfileEntry(d.name, d.canonical_name)
     if stack:
         raise TraceError("trace ends inside an open region")
+    profile.total_events = len(trace) - len(definitions)
     return profile
 
 
@@ -98,7 +102,7 @@ class RunComparison:
     per_region: list[RegionComparison]
 
 
-def compare_runs(runs: list[tuple[str, list[TraceEvent]]]) -> RunComparison:
+def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
     """Tabulate enter-event counts per labeled trace, plus region deltas."""
     if not runs:
         raise ValueError("compare_runs needs at least one trace")
@@ -107,20 +111,18 @@ def compare_runs(runs: list[tuple[str, list[TraceEvent]]]) -> RunComparison:
     regions: dict[str, list[int]] = {}
     names: dict[str, str] = {}
     for run_idx, (label, trace) in enumerate(runs):
+        trace = Trace.of(trace)
         handle_to_canonical: dict[int, str] = {}
-        enters = 0
-        for ev in trace:
-            if ev.kind == "D":
-                d = ev.descriptor
-                assert d is not None
-                handle_to_canonical[ev.handle] = d.canonical_name
-                names.setdefault(d.canonical_name, d.name)
-                regions.setdefault(d.canonical_name, [0] * len(runs))
-            elif ev.kind == "E":
-                enters += 1
-                canonical = handle_to_canonical[ev.handle]
-                regions[canonical][run_idx] += 1
-        rows.append((label, enters))
+        for ev in trace.definitions:
+            d = ev.descriptor
+            assert d is not None
+            handle_to_canonical[ev.handle] = d.canonical_name
+            names.setdefault(d.canonical_name, d.name)
+            regions.setdefault(d.canonical_name, [0] * len(runs))
+        enters = trace.enter_counts()
+        for handle, count in enters.items():
+            regions[handle_to_canonical[handle]][run_idx] += count
+        rows.append((label, enters.total()))
     per_region = [
         RegionComparison(
             canonical,

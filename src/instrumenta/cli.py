@@ -16,7 +16,7 @@ from .instrument import InstrumentError, instrument_module
 from .ir import IrError, parse_module, print_module
 from .optimizer import OptLevel
 from .runtime import TraceError, read_trace, write_trace
-from .vm import CostModel, VmError, execute
+from .vm import DEFAULT_STEP_LIMIT, CostModel, VmError, execute
 
 
 class _UsageError(Exception):
@@ -26,6 +26,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise _UsageError(message)
+
+
+# `run` flags that override a CostModel field, by field name.
+_COST_FLAGS = {
+    "--hook-guard": "hook_guard",
+    "--hook-event": "hook_event",
+    "--hook-register": "hook_register_first",
+}
 
 
 def _build_parser() -> _Parser:
@@ -45,10 +53,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("input")
     p_run.add_argument("--trace")
     p_run.add_argument("--runtime-filter")
-    p_run.add_argument("--hook-guard", type=int)
-    p_run.add_argument("--hook-event", type=int)
-    p_run.add_argument("--hook-register", type=int)
-    p_run.add_argument("--step-limit", type=int)
+    for flag, cost in _COST_FLAGS.items():
+        p_run.add_argument(flag, dest=cost, type=int)
+    p_run.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
 
     p_report = sub.add_parser("report", help="print a profile of a trace")
     p_report.add_argument("trace")
@@ -102,28 +109,23 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _positive("--hook-guard", args.hook_guard)
-    _positive("--hook-event", args.hook_event)
-    _positive("--hook-register", args.hook_register)
+    overrides = {}
+    for flag, cost in _COST_FLAGS.items():
+        value = getattr(args, cost)
+        if value is not None:
+            _positive(flag, value)
+            overrides[cost] = value
     _positive("--step-limit", args.step_limit)
     module = parse_module(_read_text(args.input), source_name=args.input)
     rules = None
     if args.runtime_filter:
         rules = parse_filter(_read_text(args.runtime_filter))
-    defaults = CostModel()
-    costs = CostModel(
-        hook_guard=args.hook_guard if args.hook_guard is not None else defaults.hook_guard,
-        hook_event=args.hook_event if args.hook_event is not None else defaults.hook_event,
-        hook_register_first=args.hook_register
-        if args.hook_register is not None
-        else defaults.hook_register_first,
-    )
-    step_limit = args.step_limit if args.step_limit is not None else 10**8
-    result = execute(module, costs=costs, runtime_rules=rules, step_limit=step_limit)
+    costs = CostModel(**overrides)
+    result = execute(module, costs=costs, runtime_rules=rules, step_limit=args.step_limit)
     if args.trace:
         Path(args.trace).write_text(write_trace(result.events), encoding="utf-8")
     status = "uncaught-exception" if result.uncaught else str(result.exit_value)
-    enters = sum(1 for ev in result.events if ev.kind == "E")
+    enters = result.events.enter_counts().total()
     print(f"exit: {status}")
     print(f"ticks: {result.total_ticks}")
     print(f"events: {len(result.events)} ({enters} enters)")

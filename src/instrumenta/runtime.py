@@ -1,5 +1,5 @@
 """Monitoring runtime: lazy region registration, runtime filtering,
-event recording and the text trace format.
+event recording into the columnar Trace, and the text trace format.
 
 A region's handle starts out unregistered, transitions exactly once to
 either a valid handle or the FILTERED sentinel, and never changes
@@ -10,7 +10,10 @@ catches unbalanced instrumentation.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from operator import eq
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
@@ -47,9 +50,99 @@ class TraceEvent(NamedTuple):
 
 
 # Builds a TraceEvent from a full 4-tuple without the generated __new__'s
-# argument handling, which costs more than the rest of recording an event;
-# used on the per-event paths of Monitor and read_trace.
+# argument handling, which costs more than the rest of building an event.
 _new_event = tuple.__new__
+
+
+class Trace(Sequence):
+    """A sequence of TraceEvents stored as two integer columns.
+
+    Record i is ``(codes[i], stamps[i])``:
+
+    - E record: ``codes[i] = handle``, ``stamps[i] = timestamp``;
+    - X record: ``codes[i] = -handle``, ``stamps[i] = timestamp``;
+    - D record: ``codes[i] = 0`` and ``stamps[i]`` is the index of its
+      TraceEvent in ``definitions`` (a D record's timestamp is always 0).
+
+    Handles are at least FIRST_VALID_HANDLE, so a code's sign is the
+    record's kind.  Only this module and the VM's hook fast path write
+    the columns.  Events are built on access; a Trace compares equal to
+    a list of the same events.
+    """
+
+    __slots__ = ("codes", "stamps", "definitions")
+    __hash__ = None  # mutable, like a list
+
+    def __init__(self) -> None:
+        self.codes: list[int] = []
+        self.stamps: list[int] = []
+        self.definitions: list[TraceEvent] = []
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> Trace:
+        """Pack events into a Trace; a Trace is returned as it is."""
+        if isinstance(events, Trace):
+            return events
+        trace = cls()
+        for ev in events:
+            kind, ts, handle, _ = ev
+            if handle < FIRST_VALID_HANDLE:
+                raise TraceError(f"handle {handle} is a sentinel")
+            if kind == "D":
+                trace._define(ev)
+                continue
+            if kind == "E":
+                trace.codes.append(handle)
+            elif kind == "X":
+                trace.codes.append(-handle)
+            else:
+                raise TraceError(f"unknown record kind '{kind}'")
+            trace.stamps.append(ts)
+        return trace
+
+    def _define(self, ev: TraceEvent) -> None:
+        self.codes.append(0)
+        self.stamps.append(len(self.definitions))
+        self.definitions.append(ev)
+
+    def _event(self, code: int, stamp: int) -> TraceEvent:
+        if code > 0:
+            return _new_event(TraceEvent, ("E", stamp, code, None))
+        if code < 0:
+            return _new_event(TraceEvent, ("X", stamp, -code, None))
+        return self.definitions[stamp]
+
+    def enter_counts(self) -> Counter[int]:
+        """The number of E records of each handle."""
+        counts = Counter(self.codes)
+        for code in [c for c in counts if c <= 0]:
+            del counts[code]
+        return counts
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace.of(map(self._event, self.codes[i], self.stamps[i]))
+        return self._event(self.codes[i], self.stamps[i])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self._event, self.codes, self.stamps)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return (
+                self.codes == other.codes
+                and self.stamps == other.stamps
+                and self.definitions == other.definitions
+            )
+        if isinstance(other, list):
+            return len(other) == len(self) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -66,7 +159,7 @@ class Monitor:
     def __init__(self, runtime_rules: FilterRuleSet | None = None):
         self.rules = runtime_rules if runtime_rules is not None else FilterRuleSet()
         self.registry = RegionRegistry()
-        self.events: list[TraceEvent] = []
+        self.events = Trace()
         self.shadow_stack: list[int] = []
 
     def register_region(self, d: RegionDescriptor) -> tuple[int, bool]:
@@ -90,7 +183,7 @@ class Monitor:
             self.registry.next_handle += 1
             # In the trace domain regions are identified by handle; the
             # module-local region id is not serialized.
-            self.events.append(
+            self.events._define(
                 TraceEvent("D", 0, handle, replace(d, region_id=handle))
             )
         self.registry.handles[rid] = handle
@@ -104,7 +197,8 @@ class Monitor:
             raise TraceError("enter with unregistered handle")
         if handle == FILTERED_REGION:
             return
-        self.events.append(_new_event(TraceEvent, ("E", ts, handle, None)))
+        self.events.codes.append(handle)
+        self.events.stamps.append(ts)
         self.shadow_stack.append(handle)
 
     def on_exit(self, handle: int, ts: int) -> None:
@@ -118,7 +212,8 @@ class Monitor:
                 f"exit for handle {handle} while top of stack is {top}"
             )
         self.shadow_stack.pop()
-        self.events.append(_new_event(TraceEvent, ("X", ts, handle, None)))
+        self.events.codes.append(-handle)
+        self.events.stamps.append(ts)
 
 
 def register_region(
@@ -142,19 +237,32 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def write_trace(events: list[TraceEvent]) -> str:
-    lines: list[str] = []
-    for ev in events:
-        if ev.kind == "D":
+def write_trace(events: Iterable[TraceEvent]) -> str:
+    trace = Trace.of(events)
+    definitions = trace.definitions
+    # The text of an E/X line around its timestamp, per code.
+    labels = {
+        code: ("E " if code > 0 else "X ", f" {abs(code)}\n")
+        for code in set(trace.codes)
+        if code
+    }
+    parts: list[str] = []
+    append = parts.append
+    for code, stamp in zip(trace.codes, trace.stamps):
+        if code:
+            before, after = labels[code]
+            append(before)
+            append(str(stamp))
+            append(after)
+        else:
+            ev = definitions[stamp]
             d = ev.descriptor
             assert d is not None
-            lines.append(
+            append(
                 f"D {ev.handle} {_quote(d.name)} {_quote(d.canonical_name)}"
-                f" {_quote(d.file)} {d.begin_lno}:{d.end_lno}"
+                f" {_quote(d.file)} {d.begin_lno}:{d.end_lno}\n"
             )
-        else:
-            lines.append(f"{ev.kind} {ev.timestamp} {ev.handle}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(parts)
 
 
 def _split_trace_line(line: str, lineno: int) -> list[str]:
@@ -241,7 +349,7 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
         raise TraceError(f"line {lineno}: malformed {kind} record") from None
 
 
-def read_trace(text: str) -> list[TraceEvent]:
+def read_trace(text: str) -> Trace:
     """Parse and validate a trace.
 
     Rejects malformed lines, enter/exit for handles without a prior
@@ -249,7 +357,8 @@ def read_trace(text: str) -> list[TraceEvent]:
     exit must match the innermost open enter; everything opened must be
     closed by the end).
     """
-    events: list[TraceEvent] = []
+    trace = Trace()
+    codes, stamps = trace.codes, trace.stamps
     known: set[int] = set()
     stack: list[int] = []
     last_ts = 0
@@ -259,19 +368,18 @@ def read_trace(text: str) -> list[TraceEvent]:
         # produced the same fields (int() ignores only whitespace that
         # strip() removes too).  Every other line, including one whose
         # numbers int() rejects, is decided by the scanner.
-        fields = line.split(" ")
-        kind = fields[0]
         try:
-            if len(fields) != 3 or kind not in ("E", "X"):
-                raise ValueError
-            ts = int(fields[1])
-            handle = int(fields[2])
+            kind, ts_field, handle_field = line.split(" ")
+            ts = int(ts_field)
+            handle = int(handle_field)
         except ValueError:
+            kind = ""
+        if kind != "E" and kind != "X":
             record = _scan_record(line, lineno, known)
             if record is None:
                 continue
             if record.kind == "D":
-                events.append(record)
+                trace._define(record)
                 continue
             kind, ts, handle, _ = record
         if handle not in known:
@@ -281,13 +389,15 @@ def read_trace(text: str) -> list[TraceEvent]:
         last_ts = ts
         if kind == "E":
             stack.append(handle)
+            codes.append(handle)
         else:
             if not stack or stack[-1] != handle:
                 raise UnbalancedExitError(
                     f"line {lineno}: exit {handle} does not match innermost enter"
                 )
             stack.pop()
-        events.append(_new_event(TraceEvent, (kind, ts, handle, None)))
+            codes.append(-handle)
+        stamps.append(ts)
     if stack:
         raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
-    return events
+    return trace

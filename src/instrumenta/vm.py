@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .filters import FilterRuleSet
 from .ir import IrModule, IrValidationError, validate
-from .runtime import FILTERED_REGION, Monitor, TraceEvent
+from .runtime import FILTERED_REGION, Monitor, Trace, TraceError, UnbalancedExitError
 
 DEFAULT_STEP_LIMIT = 10**8
 
@@ -60,7 +60,7 @@ class ExecutionResult:
     exit_value: int | None
     uncaught: bool
     total_ticks: int
-    events: list[TraceEvent] = field(default_factory=list)
+    events: Trace = field(default_factory=Trace)
     max_depth: int = 1
 
 
@@ -123,7 +123,8 @@ def _lower(m: IrModule) -> dict[str, list[list[tuple]]]:
                 elif op in ("throw", "rethrow"):
                     lowered.append((_THROW,))
                 elif op == "hook.register":
-                    lowered.append((_HREG, m.regions[ins.args[0]]))
+                    d = m.regions[ins.args[0]]
+                    lowered.append((_HREG, d.region_id, d))
                 elif op == "hook.enter":
                     lowered.append((_HENTER, ins.args[0]))
                 elif op == "hook.exit":
@@ -132,6 +133,11 @@ def _lower(m: IrModule) -> dict[str, list[list[tuple]]]:
                     raise VmError(f"cannot lower op '{op}'")
             blocks.append(lowered)
     return code
+
+
+def _check_closed(open_regions: list[int]) -> None:
+    if open_regions:
+        raise TraceError(f"run ends with {len(open_regions)} open region(s)")
 
 
 def execute(
@@ -145,7 +151,8 @@ def execute(
 
     Identical inputs produce an identical result, events included.
     Execution aborts with StepLimitExceeded after ``step_limit``
-    instructions, the guard against runaway recursion and loops.
+    instructions, the guard against runaway recursion and loops, and
+    with TraceError when the run ends with regions still open.
     """
     violations = validate(m)
     if violations:
@@ -162,6 +169,13 @@ def execute(
     guard = costs.hook_guard
     event = costs.hook_event
     reg_first = costs.hook_register_first
+    recorded = guard + event
+
+    # The hook fast path: the Monitor's state, written here directly.
+    handle_of = monitor.registry.handles
+    codes = monitor.events.codes
+    stamps = monitor.events.stamps
+    open_regions = monitor.shadow_stack
 
     blocks = code[entry]
     blk = 0
@@ -226,6 +240,7 @@ def execute(
             ticks += base
             value = regs[ins[1]] if ins[1] is not None else None
             if not frames:
+                _check_closed(open_regions)
                 return ExecutionResult(
                     exit_value=value if value is not None else 0,
                     uncaught=False,
@@ -237,22 +252,36 @@ def execute(
             if value is not None:
                 regs[0] = value
         elif op == _HENTER:
-            handle = monitor.handle_for(ins[1])
-            monitor.on_enter(handle, ticks)
-            ticks += guard
+            handle = handle_of.get(ins[1])
+            if handle is None:
+                raise TraceError("enter with unregistered handle")
             if handle != FILTERED_REGION:
-                ticks += event
+                codes.append(handle)
+                stamps.append(ticks)
+                open_regions.append(handle)
+                ticks += recorded
+            else:
+                ticks += guard
             ip += 1
         elif op == _HEXIT:
-            handle = monitor.handle_for(ins[1])
-            monitor.on_exit(handle, ticks)
-            ticks += guard
+            handle = handle_of.get(ins[1])
+            if handle is None:
+                raise TraceError("exit with unregistered handle")
             if handle != FILTERED_REGION:
-                ticks += event
+                top = open_regions.pop() if open_regions else None
+                if top != handle:
+                    raise UnbalancedExitError(
+                        f"exit for handle {handle} while top of stack is {top}"
+                    )
+                codes.append(-handle)
+                stamps.append(ticks)
+                ticks += recorded
+            else:
+                ticks += guard
             ip += 1
         elif op == _HREG:
-            _, first = monitor.register_region(ins[1])
-            if first:
+            if ins[1] not in handle_of:
+                monitor.register_region(ins[2])
                 ticks += reg_first
             ip += 1
         elif op == _THROW:
@@ -266,6 +295,7 @@ def execute(
                     caught = True
                     break
             if not caught:
+                _check_closed(open_regions)
                 return ExecutionResult(
                     exit_value=None,
                     uncaught=True,

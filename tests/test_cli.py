@@ -123,6 +123,18 @@ class TestRunReport:
         assert run_cli("run", CORPUS_DIR / "throw_uncaught.ir") == 0
         assert "uncaught-exception" in capsys.readouterr().out
 
+    def test_open_region_at_return_writes_no_trace(self, tmp_path, capsys):
+        ir = tmp_path / "open.ir"
+        ir.write_text(
+            'module "m"\nfunc @main file="a.c" lines=1:5\n'
+            "{\n^e:\n  hook.register 0\n  hook.enter 0\n  ret\n}\n"
+            'regions:\nregion 0 name="main" canonical="main" file="a.c" lines=1:5 flags=0\n'
+        )
+        trc = tmp_path / "open.trc"
+        assert run_cli("run", ir, "--trace", trc) == 2
+        assert "run ends with 1 open region(s)" in capsys.readouterr().err
+        assert not trc.exists()
+
     def test_trace_determinism(self, tmp_path):
         out = self._instrument(tmp_path)
         t1, t2 = tmp_path / "1.trc", tmp_path / "2.trc"

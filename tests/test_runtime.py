@@ -3,14 +3,18 @@ import random
 import pytest
 
 import gens
+from instrumenta.analysis import build_profile, compare_runs
 from instrumenta.filters import FilterRuleSet, parse_filter
+from instrumenta.instrument import instrument_module
 from instrumenta.ir import RegionDescriptor
+from instrumenta.optimizer import O0
 from instrumenta.runtime import (
     FILTERED_REGION,
     FIRST_VALID_HANDLE,
     INVALID_REGION,
     Monitor,
     RegionRegistry,
+    Trace,
     TraceError,
     TraceEvent,
     UnbalancedExitError,
@@ -18,6 +22,7 @@ from instrumenta.runtime import (
     register_region,
     write_trace,
 )
+from instrumenta.vm import execute
 
 DESC = RegionDescriptor(0, "func(int)", "_Z4funci", "a.c", 13, 21)
 DESC_MAIN = RegionDescriptor(1, "main", "main", "a.c", 1, 10)
@@ -392,3 +397,99 @@ def test_generated_traces_roundtrip_and_match_reference():
         assert read_trace(text) == events
         assert reference_read_trace(text) == events
         assert write_trace(read_trace(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# Trace, the columnar event store, against the list of events it stands for.
+
+
+def _generated_runs():
+    """Event lists of instrumented generated programs, under every mode."""
+    for seed in range(40):
+        module = gens.terminating_module(random.Random(seed))
+        for mode in ("auto", "plugin"):
+            out, _, _ = instrument_module(module, FilterRuleSet(), mode, O0)
+            yield execute(out).events
+
+
+def _event_lists():
+    for seed in range(150):
+        yield gens.trace_events(random.Random(seed))
+    for events in _generated_runs():
+        yield list(events)
+
+
+_SLICES = [
+    slice(None), slice(1, None), slice(None, -1), slice(2, 7), slice(-5, None),
+    slice(None, None, 2), slice(1, None, 3), slice(None, None, -1), slice(-2, 1, -2),
+    slice(40, 50), slice(5, 2),
+]
+
+
+def assert_like_list(trace, events):
+    assert trace == events and events == trace
+    assert not (trace != events)
+    assert len(trace) == len(events)
+    assert list(trace) == events
+    assert all(type(ev) is TraceEvent for ev in trace)
+    for i in range(-len(events), len(events)):
+        assert trace[i] == events[i]
+    for bad in (len(events), -len(events) - 1):
+        with pytest.raises(IndexError):
+            trace[bad]
+    for s in _SLICES:
+        assert trace[s] == events[s]
+    assert repr(trace) == repr(events)
+
+
+class TestTraceSequence:
+    def test_packed_lists_behave_like_lists(self):
+        for events in _event_lists():
+            assert_like_list(Trace.of(events), events)
+
+    def test_consumers_agree_on_list_and_trace(self):
+        for events in _event_lists():
+            trace = Trace.of(events)
+            assert write_trace(trace) == write_trace(events)
+            assert build_profile(trace) == build_profile(events)
+            assert compare_runs([("a", trace), ("b", events)]) == compare_runs(
+                [("a", events), ("b", trace)]
+            )
+
+    def test_read_trace_matches_reference_reader(self):
+        for events in _event_lists():
+            text = write_trace(events)
+            trace = read_trace(text)
+            assert type(trace) is Trace
+            assert trace == reference_read_trace(text)
+
+    def test_recorded_runs_survive_trace_io(self):
+        for events in _generated_runs():
+            assert type(events) is Trace
+            assert_like_list(events, list(events))
+            assert read_trace(write_trace(events)) == events
+
+    def test_equality_and_hashing(self):
+        events = gens.trace_events(random.Random(5))
+        trace = Trace.of(events)
+        assert Trace.of(trace) is trace
+        assert trace == Trace.of(list(events))
+        assert read_trace("") == [] == Trace()
+        assert Trace() != [TraceEvent("E", 0, 2)]
+        assert trace != tuple(events)
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_packing_rejects_what_no_trace_holds(self):
+        with pytest.raises(TraceError, match="sentinel"):
+            Trace.of([TraceEvent("E", 0, FILTERED_REGION)])
+        with pytest.raises(TraceError, match="record kind"):
+            Trace.of([TraceEvent("Q", 0, 2)])
+
+    def test_enter_counts(self):
+        text = (
+            'D 2 "f" "f" "a.c" 1:1\nD 3 "g" "g" "a.c" 2:2\n'
+            "E 0 2\nE 1 3\nX 2 3\nE 3 3\nX 4 3\nX 5 2\n"
+        )
+        assert read_trace(text).enter_counts() == {2: 1, 3: 2}
+        assert Trace().enter_counts() == {}

@@ -12,7 +12,7 @@ from instrumenta.ir import (
     parse_module,
 )
 from instrumenta.optimizer import O0
-from instrumenta.runtime import read_trace, write_trace
+from instrumenta.runtime import TraceError, UnbalancedExitError, read_trace, write_trace
 from instrumenta.vm import CostModel, StepLimitExceeded, VmError, execute
 
 I = Instruction.make
@@ -244,3 +244,77 @@ class TestDeterminismAndFiltering:
         r = execute(out)
         stamps = [e.timestamp for e in r.events if e.kind in "EX"]
         assert stamps == sorted(stamps)
+
+
+_TWO_REGIONS = (
+    "regions:\n"
+    'region 0 name="main" canonical="main" file="a.c" lines=1:9 flags=0\n'
+    'region 1 name="g()" canonical="_Z1gv" file="a.c" lines=1:9 flags=0\n'
+)
+
+
+def _hooked_main(*body):
+    """A hand-written module: main runs ``body``, regions 0 and 1 exist."""
+    lines = "".join(f"  {ins}\n" for ins in body)
+    return parse_module(
+        f'module "m"\nfunc @main file="a.c" lines=1:9\n{{\n^e:\n{lines}}}\n' + _TWO_REGIONS
+    )
+
+
+def _raised(m):
+    with pytest.raises(TraceError) as info:
+        execute(m)
+    return type(info.value), str(info.value)
+
+
+class TestHookErrors:
+    """Hook misuse in hand-written modules fails the run, as on Monitor."""
+
+    def test_enter_before_register(self):
+        m = _hooked_main("hook.enter 0", "ret")
+        assert _raised(m) == (TraceError, "enter with unregistered handle")
+
+    def test_exit_before_register(self):
+        m = _hooked_main("hook.exit 1", "ret")
+        assert _raised(m) == (TraceError, "exit with unregistered handle")
+
+    def test_exit_mismatching_top_of_stack(self):
+        m = _hooked_main(
+            "hook.register 0", "hook.register 1", "hook.enter 0", "hook.exit 1", "ret"
+        )
+        assert _raised(m) == (
+            UnbalancedExitError, "exit for handle 3 while top of stack is 2"
+        )
+
+    def test_exit_on_empty_stack(self):
+        m = _hooked_main("hook.register 0", "hook.exit 0", "ret")
+        assert _raised(m) == (
+            UnbalancedExitError, "exit for handle 2 while top of stack is None"
+        )
+
+    def test_return_with_open_region(self):
+        m = _hooked_main("hook.register 0", "hook.enter 0", "ret")
+        assert _raised(m) == (TraceError, "run ends with 1 open region(s)")
+
+    def test_uncaught_throw_with_open_regions(self):
+        m = _hooked_main(
+            "hook.register 0", "hook.register 1", "hook.enter 0", "hook.enter 1", "throw"
+        )
+        assert _raised(m) == (TraceError, "run ends with 2 open region(s)")
+
+    def test_filtered_regions_stay_silent(self):
+        rules = parse_filter("REGION_NAMES_BEGIN\nEXCLUDE g*\nREGION_NAMES_END\n")
+        m = _hooked_main(
+            "hook.register 0", "hook.register 1", "hook.enter 0", "hook.enter 1",
+            "hook.exit 1", "hook.exit 0", "hook.register 1", "ret",
+        )
+        costs = CostModel()
+        r = execute(m, costs=costs, runtime_rules=rules)
+        registered = 2 * costs.hook_register_first  # once per region, filtered or not
+        recorded = costs.hook_guard + costs.hook_event
+        assert [(e.kind, e.timestamp, e.handle) for e in r.events] == [
+            ("D", 0, 2),
+            ("E", registered, 2),
+            ("X", registered + recorded + 2 * costs.hook_guard, 2),
+        ]
+        assert r.total_ticks == registered + 2 * recorded + 2 * costs.hook_guard + 1
