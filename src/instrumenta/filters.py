@@ -42,10 +42,6 @@ class FilterRuleSet:
     region_rules: tuple[RegionRule, ...] = ()
     file_rules: tuple[FileRule, ...] = ()
 
-    @classmethod
-    def empty(cls) -> "FilterRuleSet":
-        return cls()
-
 
 @dataclass(frozen=True)
 class MatchDecision:

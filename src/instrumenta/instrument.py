@@ -10,7 +10,6 @@ instruments unconditionally.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -108,7 +107,7 @@ def insert_entry_hook(f: IrFunction, region_id: int) -> IrFunction:
         raise InstrumentError(f"@{f.mangled_name} has no entry block")
     if _has_hooks(f):
         raise InstrumentError(f"@{f.mangled_name} is already instrumented")
-    out = copy.deepcopy(f)
+    out = f.clone()
     entry = out.entry_block()
     at = len(entry.instructions) - 1
     for i, ins in enumerate(entry.instructions):
@@ -122,13 +121,15 @@ def insert_entry_hook(f: IrFunction, region_id: int) -> IrFunction:
     return out
 
 
-def _fresh_label(f: IrFunction, base: str) -> str:
-    if base not in f.labels():
-        return base
+def _fresh_label(taken: set[str], base: str) -> str:
+    """Return ``base`` or ``base<n>``, whichever is free, and reserve it."""
+    label = base
     n = 2
-    while f"{base}{n}" in f.labels():
+    while label in taken:
+        label = f"{base}{n}"
         n += 1
-    return f"{base}{n}"
+    taken.add(label)
+    return label
 
 
 def enforce_finally(
@@ -152,9 +153,10 @@ def enforce_finally(
         raise InstrumentError(f"@{f.mangled_name} has no entry hook yet")
     if any(ins.op == "hook.exit" for b in f.blocks for ins in b.instructions):
         raise InstrumentError(f"@{f.mangled_name} already has exit hooks")
-    out = copy.deepcopy(f)
-    fin_ret = _fresh_label(out, "__fin_ret")
-    fin_unwind = _fresh_label(out, "__fin_unwind")
+    out = f.clone()
+    taken = out.labels()
+    fin_ret = _fresh_label(taken, "__fin_ret")
+    fin_unwind = _fresh_label(taken, "__fin_unwind")
     valued = any(
         ins.op == "ret" and ins.args
         for b in out.blocks
@@ -183,7 +185,7 @@ def enforce_finally(
         for ii, ins in enumerate(block.instructions):
             if ins.op == "call" and ins.args[0] not in extern_names:
                 cont_n += 1
-                cont = _fresh_label(out, f"__cont{cont_n}")
+                cont = _fresh_label(taken, f"__cont{cont_n}")
                 rest = block.instructions[ii + 1 :]
                 block.instructions[ii:] = [
                     Instruction(
@@ -228,7 +230,7 @@ def instrument_module(
     if mode == "plugin":
         work, _ = inline_pass(m, level)
     elif mode == "auto":
-        work = copy.deepcopy(m)
+        work = m.clone()
     else:
         raise InstrumentError(f"unknown mode '{mode}'")
 

@@ -11,7 +11,7 @@ pseudo-ops to their static descriptors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .symbols import demangle
 
@@ -149,6 +149,11 @@ class IrFunction:
     def labels(self) -> set[str]:
         return {b.label for b in self.blocks}
 
+    def clone(self) -> "IrFunction":
+        """Copy blocks, instruction lists and attrs; share the instructions."""
+        blocks = [BasicBlock(b.label, list(b.instructions)) for b in self.blocks]
+        return replace(self, attrs=set(self.attrs), blocks=blocks)
+
 
 @dataclass(frozen=True)
 class RegionDescriptor:
@@ -181,8 +186,10 @@ class IrModule:
     def has_function(self, mangled_name: str) -> bool:
         return any(f.mangled_name == mangled_name for f in self.functions)
 
-    def defined_functions(self) -> list[IrFunction]:
-        return [f for f in self.functions if not f.is_extern]
+    def clone(self) -> "IrModule":
+        """Copy every function and the region table; share the descriptors."""
+        functions = [f.clone() for f in self.functions]
+        return replace(self, functions=functions, regions=dict(self.regions))
 
 
 def is_empty_body(f: IrFunction) -> bool:
@@ -250,6 +257,7 @@ def validate(m: IrModule) -> list[Violation]:
         if not f.blocks:
             out.append(Violation("no-blocks", where, "function has no blocks"))
             continue
+        targets = f.labels()
         labels: set[str] = set()
         for b in f.blocks:
             bwhere = f"{where}/^{b.label}"
@@ -277,7 +285,8 @@ def validate(m: IrModule) -> list[Violation]:
                         )
                     )
             for i, ins in enumerate(b.instructions):
-                out.extend(_check_instruction(m, f, b, i, ins))
+                where_i = f"{bwhere}[{i}]"
+                out.extend(_check_instruction(m, seen, targets, where_i, ins))
     for rid, desc in m.regions.items():
         if rid != desc.region_id:
             out.append(
@@ -291,9 +300,8 @@ def validate(m: IrModule) -> list[Violation]:
 
 
 def _check_instruction(
-    m: IrModule, f: IrFunction, b: BasicBlock, i: int, ins: Instruction
+    m: IrModule, names: set[str], labels: set[str], where: str, ins: Instruction
 ) -> list[Violation]:
-    where = f"{f.mangled_name}/^{b.label}[{i}]"
     out: list[Violation] = []
     if ins.op not in ALL_OPS:
         return [Violation("unknown-op", where, f"'{ins.op}'")]
@@ -306,12 +314,12 @@ def _check_instruction(
     if target is not None:
         if len(ins.call_arg_regs()) > MAX_CALL_ARGS:
             out.append(Violation("too-many-args", where, "more than 8 call args"))
-        if not m.has_function(target):
+        if target not in names:
             out.append(
                 Violation("undefined-call-target", where, f"@{target} not defined")
             )
     for label in ins.branch_labels():
-        if label not in f.labels():
+        if label not in labels:
             out.append(Violation("undefined-label", where, f"^{label} not defined"))
     if ins.is_hook and ins.args[0] not in m.regions:
         out.append(
@@ -417,7 +425,10 @@ def print_module(m: IrModule) -> str:
 
 
 def _strip_comment(line: str) -> str:
-    # ';' starts a comment unless inside a quoted string.
+    # ';' starts a comment unless inside a quoted string.  Without a
+    # quote no backslash escapes anything, so the first ';' decides.
+    if '"' not in line:
+        return line.partition(";")[0]
     in_quote = False
     i = 0
     while i < len(line):
@@ -488,8 +499,12 @@ class _Parser:
         return item
 
 
+_REG_RE = re.compile(r"r\d+\Z")
+_IMM_RE = re.compile(r"-?\d+\Z")
+
+
 def _parse_reg(token: str, lineno: int) -> int:
-    if not re.match(r"r\d+\Z", token):
+    if not _REG_RE.match(token):
         raise IrParseError(f"expected register, got '{token}'", lineno)
     idx = int(token[1:])
     if idx >= NUM_REGISTERS:
@@ -498,7 +513,7 @@ def _parse_reg(token: str, lineno: int) -> int:
 
 
 def _parse_imm(token: str, lineno: int) -> int:
-    if not re.match(r"-?\d+\Z", token):
+    if not _IMM_RE.match(token):
         raise IrParseError(f"expected integer, got '{token}'", lineno)
     return int(token)
 
@@ -770,6 +785,7 @@ def _parse_body(
     if item is None or item[1] != "{":
         raise IrParseError("expected '{' after func header", header_line)
     current: BasicBlock | None = None
+    labels: set[str] = set()
     while True:
         item = p.next_line()
         if item is None:
@@ -783,8 +799,9 @@ def _parse_body(
             label = line[1:-1]
             if not _LABEL_RE.match(label):
                 raise IrParseError(f"bad block label '{label}'", lineno)
-            if label in f.labels():
+            if label in labels:
                 raise IrParseError(f"duplicate block label '{label}'", lineno)
+            labels.add(label)
             current = BasicBlock(label)
             f.blocks.append(current)
             continue
@@ -800,13 +817,14 @@ def _check_references(
 ) -> None:
     # Undefined call targets and branch labels are reported with the
     # source line of the offending instruction.
+    names = {f.mangled_name for f in module.functions}
     for f in module.functions:
         labels = f.labels()
         for b in f.blocks:
             for i, ins in enumerate(b.instructions):
                 lineno = instr_lines.get((f.mangled_name, b.label, i), 1)
                 target = ins.call_target()
-                if target is not None and not module.has_function(target):
+                if target is not None and target not in names:
                     raise IrParseError(
                         f"undefined call target '@{target}'", lineno
                     )

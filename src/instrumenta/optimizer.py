@@ -10,7 +10,6 @@ present in a callee travels with its body into the caller.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -20,6 +19,7 @@ from .ir import (
     IrModule,
     IrValidationError,
     NUM_REGISTERS,
+    _register_operands,
     validate,
 )
 
@@ -40,9 +40,8 @@ class OptLevel:
 
     @classmethod
     def named(cls, level: str) -> "OptLevel":
-        if level not in INLINE_THRESHOLDS:
-            raise ValueError(f"unknown optimization level '{level}'")
-        return cls(level, INLINE_THRESHOLDS[level])
+        # __post_init__ rejects an unknown level; its 0 is never used.
+        return cls(level, INLINE_THRESHOLDS.get(level, 0))
 
 
 O0 = OptLevel.named("O0")
@@ -107,25 +106,8 @@ def _used_registers(f: IrFunction) -> set[int]:
     used: set[int] = set()
     for b in f.blocks:
         for ins in b.instructions:
-            used.update(_instr_registers(ins))
+            used.update(_register_operands(ins))
     return used
-
-
-def _instr_registers(ins: Instruction) -> tuple[int, ...]:
-    op = ins.op
-    if op in ("li", "work"):
-        return (ins.args[0],) if op == "li" else ()
-    if op == "addi":
-        return (ins.args[0], ins.args[1])
-    if op == "add":
-        return ins.args
-    if op == "jnz":
-        return (ins.args[0],)
-    if op == "ret":
-        return ins.args
-    if op in ("call", "call.try"):
-        return ins.call_arg_regs()
-    return ()
 
 
 def _remap_registers(ins: Instruction, rmap: dict[int, int]) -> Instruction:
@@ -166,6 +148,8 @@ class _Inliner:
         self.module = module
         self.threshold = threshold
         self.report = InlineReport()
+        self.skip_seen: set[tuple[InlineSite, str]] = set()
+        self.functions = {f.mangled_name: f for f in module.functions}
         graph = _call_graph(module)
         self.recursive = _recursive_functions(graph)
         # Eligibility is judged on the input module's costs so that the
@@ -178,9 +162,9 @@ class _Inliner:
         self.fresh = 0
 
     def ineligible_reason(self, callee_name: str) -> str | None:
-        if not self.module.has_function(callee_name):
+        callee = self.functions.get(callee_name)
+        if callee is None:
             return "undefined"
-        callee = self.module.function(callee_name)
         if callee.is_extern:
             return "extern"
         if callee_name in self.recursive:
@@ -226,7 +210,7 @@ class _Inliner:
                     self.note_skip(site, reason)
                     ii += 1
                     continue
-                callee = self.module.function(ins.args[0])
+                callee = self.functions[ins.args[0]]
                 rmap = self.register_map(caller, callee)
                 if rmap is None:
                     self.note_skip(site, "register-pressure")
@@ -241,23 +225,19 @@ class _Inliner:
                     ii += inserted
                 else:
                     # Multi-block expansion: resume at the continuation
-                    # block, which now holds the rest of this block.
+                    # block, which follows the callee's copied blocks
+                    # and now holds the rest of this block.
                     break
             else:
                 bi += 1
                 continue
-            bi = self.block_index(caller, self.last_cont_label)
+            bi += len(callee.blocks) + 1
         return changed
 
     def note_skip(self, site: InlineSite, reason: str) -> None:
-        if (site, reason) not in self.report.skipped:
+        if (site, reason) not in self.skip_seen:
+            self.skip_seen.add((site, reason))
             self.report.skipped.append((site, reason))
-
-    def block_index(self, f: IrFunction, label: str) -> int:
-        for i, b in enumerate(f.blocks):
-            if b.label == label:
-                return i
-        raise KeyError(label)
 
     def register_map(
         self, caller: IrFunction, callee: IrFunction
@@ -265,7 +245,8 @@ class _Inliner:
         callee_regs = sorted(_used_registers(callee))
         if not callee_regs:
             return {}
-        free = [r for r in range(NUM_REGISTERS) if r not in _used_registers(caller)]
+        used = _used_registers(caller)
+        free = [r for r in range(NUM_REGISTERS) if r not in used]
         if len(free) < len(callee_regs):
             return None
         return dict(zip(callee_regs, free))
@@ -298,9 +279,9 @@ class _Inliner:
         args = call.call_arg_regs()
         # Parameters land in callee r0..r(k-1); every other callee
         # register starts at zero, so the move/zero split is keyed on
-        # the register index itself.
+        # the register index itself; rmap lists it in ascending order.
         init: list[Instruction] = []
-        for creg in sorted(_used_registers(callee)):
+        for creg in rmap:
             if creg < len(args):
                 init.append(Instruction("addi", (rmap[creg], args[creg], 0)))
             else:
@@ -325,7 +306,6 @@ class _Inliner:
         prefix = self.fresh_prefix(caller, callee)
         lmap = {b.label: f"{prefix}_{b.label}" for b in callee.blocks}
         cont_label = f"{prefix}_cont"
-        self.last_cont_label = cont_label
         new_blocks: list[BasicBlock] = []
         for cb in callee.blocks:
             nb = BasicBlock(lmap[cb.label])
@@ -358,7 +338,7 @@ def inline_pass(m: IrModule, level: OptLevel) -> tuple[IrModule, InlineReport]:
     violations = validate(m)
     if violations:
         raise IrValidationError(violations)
-    result = copy.deepcopy(m)
+    result = m.clone()
     if level.inline_threshold <= 0:
         return result, InlineReport()
     worker = _Inliner(result, level.inline_threshold)
