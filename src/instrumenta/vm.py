@@ -55,30 +55,49 @@ class CostModel:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one run; ``exit_value`` is None for an uncaught throw."""
+    """Outcome of one run; ``exit_value`` is None for an uncaught throw.
+
+    ``steps`` is the number of instructions executed, hook ops included.
+    """
 
     exit_value: int | None
     uncaught: bool
     total_ticks: int
     events: Trace = field(default_factory=Trace)
     max_depth: int = 1
+    steps: int = 0
 
 
-# Lowered opcodes.
-_LI, _ADDI, _ADD, _WORK, _CALL, _CALL_EXT, _CALLTRY, _CALLTRY_EXT = range(8)
-_JMP, _JNZ, _RET, _THROW, _HREG, _HENTER, _HEXIT = range(8, 15)
+# Lowered code.  Only effect ops (hooks, internal calls, call.try,
+# jmp, jnz, ret, throw/rethrow) are dispatched.  Every maximal run of
+# pure instructions (li, addi, add, work, and plain calls to externs,
+# which only cost ticks) is folded into the effect op that ends it:
+#     (opcode, steps, ticks, updates, *operands)
+# ``steps`` counts the folded instructions and the op itself, ``ticks``
+# is their static cost including the op's own base_instruction or
+# extern_call (a hook's monitoring cost is charged when it runs), and
+# ``updates`` holds the run's register writes in order, each
+# (dst, a, b, c) meaning regs[dst] = wrap(regs[a] + regs[b] + c), where
+# register _ZERO is never written.  The instrumenter's fixed pairs
+# ``hook.register r; hook.enter r`` and ``hook.exit r; ret`` lower to
+# one op each; the steps of a fused ret are checked on their own, so a
+# run stopped by the step limit fails exactly as it would unfused.
+_JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _THROW, _HEXIT, _HEXITRET, _RET = range(10)
+_ZERO = 16
 
 
 def _wrap(v: int) -> int:
     return ((v + _I64_BIAS) & _I64_MASK) - _I64_BIAS
 
 
-def _lower(m: IrModule) -> dict[str, list[list[tuple]]]:
-    """Resolve labels to block indices and call targets to code lists."""
+def _lower(m: IrModule, costs: CostModel) -> dict[str, list[list[tuple]]]:
+    """Fold pure runs, resolve labels to block indices and call targets
+    to code lists."""
     code: dict[str, list[list[tuple]]] = {
         f.mangled_name: [] for f in m.functions if not f.is_extern
     }
     externs = {f.mangled_name for f in m.functions if f.is_extern}
+    base = costs.base_instruction
     for f in m.functions:
         if f.is_extern:
             continue
@@ -86,58 +105,85 @@ def _lower(m: IrModule) -> dict[str, list[list[tuple]]]:
         blocks = code[f.mangled_name]
         for b in f.blocks:
             lowered: list[tuple] = []
-            for ins in b.instructions:
-                op = ins.op
+            steps = ticks = 0
+            updates: list[tuple] = []
+            instrs = b.instructions
+            i = 0
+            while i < len(instrs):
+                ins = instrs[i]
+                op, args = ins.op, ins.args
+                i += 1
+                steps += 1
+                if op == "addi":
+                    updates.append((args[0], args[1], _ZERO, args[2]))
+                    ticks += base
+                    continue
                 if op == "li":
-                    lowered.append((_LI, ins.args[0], _wrap(ins.args[1])))
-                elif op == "addi":
-                    lowered.append((_ADDI, ins.args[0], ins.args[1], ins.args[2]))
-                elif op == "add":
-                    lowered.append((_ADD, *ins.args))
-                elif op == "work":
-                    lowered.append((_WORK, ins.args[0]))
-                elif op == "call":
-                    target = ins.args[0]
-                    if target in externs:
-                        lowered.append((_CALL_EXT,))
+                    updates.append((args[0], _ZERO, _ZERO, _wrap(args[1])))
+                    ticks += base
+                    continue
+                if op == "add":
+                    updates.append((*args, 0))
+                    ticks += base
+                    continue
+                if op == "work":
+                    ticks += args[0]
+                    continue
+                nxt = instrs[i] if i < len(instrs) else None
+                if op == "call" or op == "call.try":
+                    if args[0] in externs:
+                        ticks += costs.extern_call
+                        if op == "call":
+                            continue
+                        eff = (_JMP, label_idx[args[-2]])
                     else:
-                        lowered.append((_CALL, code[target], ins.args[1:]))
-                elif op == "call.try":
-                    target = ins.args[0]
-                    nblk = label_idx[ins.args[-2]]
-                    ublk = label_idx[ins.args[-1]]
-                    if target in externs:
-                        lowered.append((_CALLTRY_EXT, nblk))
-                    else:
-                        lowered.append(
-                            (_CALLTRY, code[target], ins.call_arg_regs(), nblk, ublk)
-                        )
-                elif op == "jmp":
-                    lowered.append((_JMP, label_idx[ins.args[0]]))
-                elif op == "jnz":
-                    lowered.append(
-                        (_JNZ, ins.args[0], label_idx[ins.args[1]], label_idx[ins.args[2]])
-                    )
-                elif op == "ret":
-                    lowered.append((_RET, ins.args[0] if ins.args else None))
-                elif op in ("throw", "rethrow"):
-                    lowered.append((_THROW,))
+                        ticks += base
+                        # (resume_blk, resume_ip, unwind_blk) for the frame.
+                        if op == "call":
+                            resume = (len(blocks), len(lowered) + 1, None)
+                        else:
+                            resume = (label_idx[args[-2]], 0, label_idx[args[-1]])
+                        eff = (_CALL, code[args[0]], ins.call_arg_regs(), *resume)
                 elif op == "hook.register":
-                    d = m.regions[ins.args[0]]
-                    lowered.append((_HREG, d.region_id, d))
+                    eff = (_HREG, args[0], m.regions[args[0]])
+                    if nxt is not None and nxt.op == "hook.enter" and nxt.args == args:
+                        eff = (_HREGENTER, *eff[1:])
+                        steps += 1
+                        i += 1
                 elif op == "hook.enter":
-                    lowered.append((_HENTER, ins.args[0]))
+                    eff = (_HENTER, args[0])
                 elif op == "hook.exit":
-                    lowered.append((_HEXIT, ins.args[0]))
+                    eff = (_HEXIT, args[0])
+                    if nxt is not None and nxt.op == "ret":
+                        eff = (_HEXITRET, args[0], nxt.args[0] if nxt.args else None)
+                        i += 1  # the ret's step and tick are charged when it runs
                 else:
-                    raise VmError(f"cannot lower op '{op}'")
+                    ticks += base
+                    if op == "jnz":
+                        eff = (_JNZ, args[0], label_idx[args[1]], label_idx[args[2]])
+                    elif op == "jmp":
+                        eff = (_JMP, label_idx[args[0]])
+                    elif op == "ret":
+                        eff = (_RET, args[0] if args else None)
+                    elif op in ("throw", "rethrow"):
+                        eff = (_THROW,)
+                    else:
+                        raise VmError(f"cannot lower op '{op}'")
+                lowered.append((eff[0], steps, ticks, tuple(updates), *eff[1:]))
+                steps = ticks = 0
+                updates = []
             blocks.append(lowered)
+        # Thread each jmp into the first op of its target when that op
+        # leaves its block (or resumes at a fixed place): the jmp and
+        # its run cannot fail, so one check at the sum of their steps is
+        # the target op's own check.
+        for lowered in blocks:
+            jmp = lowered[-1]
+            if jmp[0] == _JMP:
+                to = blocks[jmp[4]][0]
+                if to[0] not in (_HREG, _HREGENTER, _HENTER, _HEXIT):
+                    lowered[-1] = (to[0], jmp[1] + to[1], jmp[2] + to[2], jmp[3] + to[3], *to[4:])
     return code
-
-
-def _check_closed(open_regions: list[int]) -> None:
-    if open_regions:
-        raise TraceError(f"run ends with {len(open_regions)} open region(s)")
 
 
 def execute(
@@ -162,14 +208,13 @@ def execute(
 
     costs = costs if costs is not None else CostModel()
     monitor = Monitor(runtime_rules)
-    code = _lower(m)
+    code = _lower(m, costs)
 
     base = costs.base_instruction
-    extern_cost = costs.extern_call
     guard = costs.hook_guard
-    event = costs.hook_event
     reg_first = costs.hook_register_first
-    recorded = guard + event
+    recorded = guard + costs.hook_event
+    over = f"step limit of {step_limit} exceeded"
 
     # The hook fast path: the Monitor's state, written here directly.
     handle_of = monitor.registry.handles
@@ -180,7 +225,7 @@ def execute(
     blocks = code[entry]
     blk = 0
     ip = 0
-    regs = [0] * 16
+    regs = [0] * 17
     # Saved caller state: (blocks, resume_blk, resume_ip, regs, unwind_blk).
     frames: list[tuple] = []
     ticks = 0
@@ -189,70 +234,40 @@ def execute(
 
     while True:
         ins = blocks[blk][ip]
-        steps += 1
+        steps += ins[1]
         if steps > step_limit:
-            raise StepLimitExceeded(f"step limit of {step_limit} exceeded")
+            raise StepLimitExceeded(over)
+        ticks += ins[2]
+        for dst, a, b, c in ins[3]:
+            v = regs[a] + regs[b] + c
+            regs[dst] = v if -(2**63) <= v < 2**63 else _wrap(v)
         op = ins[0]
-        if op == _ADDI:
-            regs[ins[1]] = _wrap(regs[ins[2]] + ins[3])
-            ticks += base
-            ip += 1
-        elif op == _JNZ:
-            ticks += base
-            blk = ins[2] if regs[ins[1]] != 0 else ins[3]
+        if op == _JNZ:
+            blk = ins[5] if regs[ins[4]] != 0 else ins[6]
             ip = 0
-        elif op == _WORK:
-            ticks += ins[1]
-            ip += 1
-        elif op == _LI:
-            regs[ins[1]] = ins[2]
-            ticks += base
-            ip += 1
         elif op == _JMP:
-            ticks += base
-            blk = ins[1]
-            ip = 0
-        elif op == _CALLTRY:
-            ticks += base
-            frames.append((blocks, ins[3], 0, regs, ins[4]))
-            if len(frames) + 1 > max_depth:
-                max_depth = len(frames) + 1
-            new_regs = [0] * 16
-            for k, a in enumerate(ins[2]):
-                new_regs[k] = regs[a]
-            blocks = ins[1]
-            regs = new_regs
-            blk = 0
+            blk = ins[4]
             ip = 0
         elif op == _CALL:
-            ticks += base
-            frames.append((blocks, blk, ip + 1, regs, None))
+            frames.append((blocks, ins[6], ins[7], regs, ins[8]))
             if len(frames) + 1 > max_depth:
                 max_depth = len(frames) + 1
-            new_regs = [0] * 16
-            for k, a in enumerate(ins[2]):
+            new_regs = [0] * 17
+            for k, a in enumerate(ins[5]):
                 new_regs[k] = regs[a]
-            blocks = ins[1]
+            blocks = ins[4]
             regs = new_regs
             blk = 0
             ip = 0
-        elif op == _RET:
-            ticks += base
-            value = regs[ins[1]] if ins[1] is not None else None
-            if not frames:
-                _check_closed(open_regions)
-                return ExecutionResult(
-                    exit_value=value if value is not None else 0,
-                    uncaught=False,
-                    total_ticks=ticks,
-                    events=monitor.events,
-                    max_depth=max_depth,
-                )
-            blocks, blk, ip, regs, _ = frames.pop()
-            if value is not None:
-                regs[0] = value
-        elif op == _HENTER:
-            handle = handle_of.get(ins[1])
+        elif op <= _HENTER:  # _HREG, _HREGENTER, _HENTER
+            handle = handle_of.get(ins[4])
+            if handle is None and op != _HENTER:
+                handle = monitor.register_region(ins[5])[0]
+                ticks += reg_first
+            if op == _HREG:
+                ip += 1
+                continue
+            # The enter, alone or after its register.
             if handle is None:
                 raise TraceError("enter with unregistered handle")
             if handle != FILTERED_REGION:
@@ -263,56 +278,51 @@ def execute(
             else:
                 ticks += guard
             ip += 1
-        elif op == _HEXIT:
-            handle = handle_of.get(ins[1])
-            if handle is None:
-                raise TraceError("exit with unregistered handle")
-            if handle != FILTERED_REGION:
-                top = open_regions.pop() if open_regions else None
-                if top != handle:
-                    raise UnbalancedExitError(
-                        f"exit for handle {handle} while top of stack is {top}"
-                    )
-                codes.append(-handle)
-                stamps.append(ticks)
-                ticks += recorded
-            else:
-                ticks += guard
-            ip += 1
-        elif op == _HREG:
-            if ins[1] not in handle_of:
-                monitor.register_region(ins[2])
-                ticks += reg_first
-            ip += 1
-        elif op == _THROW:
-            ticks += base
-            caught = False
-            while frames:
-                blocks, rblk, rip, regs, ublk = frames.pop()
-                if ublk is not None:
-                    blk = ublk
-                    ip = 0
-                    caught = True
-                    break
-            if not caught:
-                _check_closed(open_regions)
-                return ExecutionResult(
-                    exit_value=None,
-                    uncaught=True,
-                    total_ticks=ticks,
-                    events=monitor.events,
-                    max_depth=max_depth,
-                )
-        elif op == _ADD:
-            regs[ins[1]] = _wrap(regs[ins[2]] + regs[ins[3]])
-            ticks += base
-            ip += 1
-        elif op == _CALL_EXT:
-            ticks += extern_cost
-            ip += 1
-        elif op == _CALLTRY_EXT:
-            ticks += extern_cost
-            blk = ins[1]
-            ip = 0
+        elif op != _THROW:  # _HEXIT, _HEXITRET, _RET
+            if op != _RET:
+                handle = handle_of.get(ins[4])
+                if handle is None:
+                    raise TraceError("exit with unregistered handle")
+                if handle != FILTERED_REGION:
+                    top = open_regions.pop() if open_regions else None
+                    if top != handle:
+                        raise UnbalancedExitError(
+                            f"exit for handle {handle} while top of stack is {top}"
+                        )
+                    codes.append(-handle)
+                    stamps.append(ticks)
+                    ticks += recorded
+                else:
+                    ticks += guard
+                if op == _HEXIT:
+                    ip += 1
+                    continue
+                # The ret after the exit, at its own step.
+                steps += 1
+                if steps > step_limit:
+                    raise StepLimitExceeded(over)
+                ticks += base
+            # The value register is the last operand of _RET and _HEXITRET.
+            value = regs[ins[-1]] if ins[-1] is not None else None
+            if not frames:
+                exit_value = value if value is not None else 0
+                uncaught = False
+                break
+            blocks, blk, ip, regs, _ = frames.pop()
+            if value is not None:
+                regs[0] = value
         else:
-            raise VmError(f"unknown lowered opcode {op}")
+            while frames:
+                blocks, blk, ip, regs, unwind = frames.pop()
+                if unwind is not None:
+                    blk = unwind
+                    ip = 0
+                    break
+            else:
+                exit_value = None
+                uncaught = True
+                break
+
+    if open_regions:
+        raise TraceError(f"run ends with {len(open_regions)} open region(s)")
+    return ExecutionResult(exit_value, uncaught, ticks, monitor.events, max_depth, steps)

@@ -318,3 +318,83 @@ class TestHookErrors:
             ("X", registered + recorded + 2 * costs.hook_guard, 2),
         ]
         assert r.total_ticks == registered + 2 * recorded + 2 * costs.hook_guard + 1
+
+
+def _failure(m, **kw):
+    with pytest.raises((TraceError, VmError)) as info:
+        execute(m, **kw)
+    return type(info.value), str(info.value)
+
+
+_BOUNDARY_CASES = [
+    ("listing1.ir", None),
+    ("listing1.ir", "plugin"),
+    ("extern_call.ir", "plugin"),
+    ("throw_catch.ir", "plugin"),
+    ("throw_deep.ir", "auto"),
+    ("throw_uncaught.ir", None),
+    ("hotloop.ir", "plugin"),
+]
+
+
+class TestSteps:
+    """``steps`` counts instructions, and the limit stops a run at exactly
+    the instruction that would exceed it, fused or not."""
+
+    def test_steps_count_instructions_not_ticks(self, listing1):
+        assert execute(listing1).steps == LISTING1_TICKS  # no work, one tick each
+        m = parse_module(
+            'module "m"\nextern @lib\nfunc @main file="a.c" lines=1:2\n'
+            "{\n^e:\n  work 7\n  call @lib\n  ret\n}\n"
+        )
+        r = execute(m)
+        assert (r.steps, r.total_ticks) == (3, 7 + CostModel().extern_call + 1)
+
+    @pytest.mark.parametrize("name,mode", _BOUNDARY_CASES)
+    def test_exact_step_limit_boundary(self, name, mode):
+        m = load_corpus(name)
+        if mode is not None:
+            m, _, _ = instrument_module(m, FilterRuleSet(), mode, O0)
+        full = execute(m)
+        n = full.steps
+        assert execute(m, step_limit=n) == full
+        assert _failure(m, step_limit=n - 1) == (
+            StepLimitExceeded, f"step limit of {n - 1} exceeded"
+        )
+
+    def test_exit_error_precedes_the_limit_of_its_fused_ret(self):
+        # hook.exit is step 2 and fails there; the ret after it would be
+        # step 3, so a limit of 2 must report the exit's error.
+        m = _hooked_main("hook.register 0", "hook.exit 0", "ret")
+        unbalanced = (UnbalancedExitError, "exit for handle 2 while top of stack is None")
+        assert _failure(m) == unbalanced
+        assert _failure(m, step_limit=2) == unbalanced
+        assert _failure(m, step_limit=1) == (StepLimitExceeded, "step limit of 1 exceeded")
+
+    def test_limit_between_exit_and_its_ret(self):
+        m = _hooked_main(
+            "hook.register 0", "hook.register 1", "hook.enter 0", "hook.enter 1",
+            "hook.exit 1", "ret",
+        )
+        assert _failure(m, step_limit=5) == (StepLimitExceeded, "step limit of 5 exceeded")
+        assert _failure(m, step_limit=6) == (TraceError, "run ends with 1 open region(s)")
+
+    def test_limit_between_register_and_its_enter(self):
+        m = _hooked_main("work 3", "hook.register 0", "hook.enter 0", "hook.exit 0", "ret")
+        assert _failure(m, step_limit=2) == (StepLimitExceeded, "step limit of 2 exceeded")
+        assert execute(m, step_limit=5).steps == 5
+
+    def test_non_default_costs_on_fused_runs(self):
+        costs = CostModel(3, 7, 2, 9, 4)
+        m = _hooked_main(
+            "li r1, 2", "work 5", "hook.register 0", "hook.enter 0",
+            "addi r1, r1, 1", "work 4", "hook.exit 0", "ret r1",
+        )
+        r = execute(m, costs=costs)
+        enter_at = 3 + 5 + costs.hook_register_first
+        exit_at = enter_at + costs.hook_guard + costs.hook_event + 3 + 4
+        assert [(e.kind, e.timestamp) for e in r.events] == [
+            ("D", 0), ("E", enter_at), ("X", exit_at),
+        ]
+        assert r.total_ticks == exit_at + costs.hook_guard + costs.hook_event + 3
+        assert (r.exit_value, r.steps) == (3, 8)
