@@ -24,7 +24,6 @@ from .ir import (
 from .optimizer import InlineReport, OptLevel, inline_cost, inline_pass
 from .runtime import (
     FILTERED_REGION,
-    INVALID_REGION,
     Monitor,
     Trace,
     TraceEvent,
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionResult",
     "FILTERED_REGION",
     "FilterRuleSet",
-    "INVALID_REGION",
     "InlineReport",
     "Instruction",
     "InstrumentationReport",

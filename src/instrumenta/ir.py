@@ -11,21 +11,64 @@ pseudo-ops to their static descriptors.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple, NoReturn
 
 from .symbols import demangle
 
-# Instruction set.  Plain `call` does not terminate a block; `call.try`
-# is the unwind-aware call and does.
+# Instruction set: one operand signature per mnemonic, one letter per
+# operand.  ``r`` register, ``i`` immediate, ``n`` count >= 1, ``h``
+# region id >= 0, ``l`` ^label, ``f`` @function, ``*`` a call's argument
+# registers (0 to MAX_CALL_ARGS), ``?`` an optional register.  Parsing,
+# printing, validation and every operand query are derived from it.
+SIGNATURES = {
+    "li": "ri",
+    "addi": "rri",
+    "add": "rrr",
+    "work": "n",
+    "call": "f*",
+    "call.try": "f*ll",
+    "jmp": "l",
+    "jnz": "rll",
+    "ret": "?",
+    "throw": "",
+    "rethrow": "",
+    "hook.register": "h",
+    "hook.enter": "h",
+    "hook.exit": "h",
+}
+ALL_OPS = frozenset(SIGNATURES)
+# Plain `call` does not terminate a block; `call.try` is the
+# unwind-aware call and does.
 TERMINATORS = frozenset({"call.try", "jmp", "jnz", "ret", "throw", "rethrow"})
 HOOK_OPS = frozenset({"hook.register", "hook.enter", "hook.exit"})
-ALL_OPS = frozenset(
-    {"li", "addi", "add", "work", "call", "call.try", "jmp", "jnz", "ret", "throw",
-     "rethrow"}
-) | HOOK_OPS
 
 NUM_REGISTERS = 16
 MAX_CALL_ARGS = 8
+
+
+_NONE = slice(0, 0)
+
+
+def _operand_slice(sig: str, kinds: str) -> slice:
+    """Where the operands of ``kinds``, which are contiguous, sit in every
+    args tuple of ``sig``: offsets past the variadic letter count from
+    the end.  No such operand gives the shared empty slice ``_NONE``."""
+    at = [i for i, k in enumerate(sig) if k in kinds]
+    if not at:
+        return _NONE
+    variadic = next((i for i, k in enumerate(sig) if k in "*?"), len(sig))
+    start = at[0] if at[0] <= variadic else at[0] - len(sig)
+    stop = at[-1] + 1 if at[-1] < variadic else at[-1] + 1 - len(sig)
+    return slice(start, stop or None)
+
+
+_REGISTERS = {op: _operand_slice(sig, "r*?") for op, sig in SIGNATURES.items()}
+_ARG_REGISTERS = {op: _operand_slice(sig, "*") for op, sig in SIGNATURES.items()}
+_LABELS = {op: _operand_slice(sig, "l") for op, sig in SIGNATURES.items()}
+# A call target is always the first operand.
+_CALL_OPS = frozenset(op for op, sig in SIGNATURES.items() if sig.startswith("f"))
 
 FUNCTION_ATTRS = frozenset(
     {"empty_body", "builtin", "openmp_internal", "artificial", "no_inline"}
@@ -58,20 +101,11 @@ class IrValidationError(IrError):
 class Instruction:
     """One instruction: mnemonic plus operand tuple.
 
-    Operand conventions per mnemonic (registers are ints, labels and
-    call targets are bare strings without their ``^``/``@`` sigils):
-
-        li rd, imm            -> ("li", (rd, imm))
-        addi rd, rs, imm      -> ("addi", (rd, rs, imm))
-        add rd, ra, rb        -> ("add", (rd, ra, rb))
-        work n                -> ("work", (n,))
-        call @f, r...         -> ("call", (f, r...))
-        call.try @f, r..., ^n, ^u -> ("call.try", (f, r..., n, u))
-        jmp ^L                -> ("jmp", (L,))
-        jnz r, ^T, ^F         -> ("jnz", (r, T, F))
-        ret [r]               -> ("ret", ()) or ("ret", (r,))
-        throw / rethrow       -> no operands
-        hook.register <id>    -> ("hook.register", (id,)); same for enter/exit
+    The operands follow the mnemonic's SIGNATURES entry in order.
+    Registers, immediates, counts and region ids are ints; labels and
+    call targets are bare strings without their ``^``/``@`` sigils, so
+    ``call.try @f, r1, ^n, ^u`` is ``("call.try", ("f", 1, "n", "u"))``
+    and a bare ``ret`` is ``("ret", ())``.
     """
 
     op: str
@@ -90,25 +124,29 @@ class Instruction:
         return self.op in HOOK_OPS
 
     def call_target(self) -> str | None:
-        if self.op in ("call", "call.try"):
-            return self.args[0]
-        return None
+        return self.args[0] if self.op in _CALL_OPS else None
 
     def call_arg_regs(self) -> tuple[int, ...]:
-        if self.op == "call":
-            return self.args[1:]
-        if self.op == "call.try":
-            return self.args[1:-2]
-        return ()
+        return self.args[_ARG_REGISTERS.get(self.op, _NONE)]
 
     def branch_labels(self) -> tuple[str, ...]:
-        if self.op == "jmp":
-            return (self.args[0],)
-        if self.op == "jnz":
-            return (self.args[1], self.args[2])
-        if self.op == "call.try":
-            return (self.args[-2], self.args[-1])
-        return ()
+        return self.args[_LABELS.get(self.op, _NONE)]
+
+    def remap(
+        self, regs: dict[int, int], labels: dict[str, str] | None = None
+    ) -> "Instruction":
+        """This instruction with its registers renamed through ``regs``
+        and, when ``labels`` is given, its labels renamed through it."""
+        at_regs = _REGISTERS[self.op]
+        at_labels = _NONE if labels is None else _LABELS[self.op]
+        if at_regs is _NONE and at_labels is _NONE:
+            return self
+        args = list(self.args)
+        if at_regs is not _NONE:
+            args[at_regs] = [regs[r] for r in args[at_regs]]
+        if at_labels is not _NONE:
+            args[at_labels] = [labels[label] for label in args[at_labels]]
+        return Instruction(self.op, tuple(args))
 
 
 @dataclass
@@ -285,8 +323,8 @@ def validate(m: IrModule) -> list[Violation]:
                         )
                     )
             for i, ins in enumerate(b.instructions):
-                where_i = f"{bwhere}[{i}]"
-                out.extend(_check_instruction(m, seen, targets, where_i, ins))
+                for code, message in _check_instruction(m, seen, targets, ins):
+                    out.append(Violation(code, f"{bwhere}[{i}]", message))
     for rid, desc in m.regions.items():
         if rid != desc.region_id:
             out.append(
@@ -300,48 +338,43 @@ def validate(m: IrModule) -> list[Violation]:
 
 
 def _check_instruction(
-    m: IrModule, names: set[str], labels: set[str], where: str, ins: Instruction
-) -> list[Violation]:
-    out: list[Violation] = []
-    if ins.op not in ALL_OPS:
-        return [Violation("unknown-op", where, f"'{ins.op}'")]
-    for r in _register_operands(ins):
+    m: IrModule, names: set[str], labels: set[str], ins: Instruction
+) -> list[tuple[str, str]]:
+    """The (code, message) of each defect of one instruction."""
+    op, args = ins.op, ins.args
+    syntax = _SHAPES.get((op, *map(type, args)))
+    if syntax is None:
+        # A call with too many arguments still fits its signature.
+        syntax = _syntax(op, len(args))
+        if syntax is None or syntax.shape != (op, *map(type, args)):
+            if op not in ALL_OPS:
+                return [("unknown-op", f"'{op}'")]
+            return [("bad-operands", _bad_operands(ins))]
+    out: list[tuple[str, str]] = []
+    for r in args[_REGISTERS[op]]:
         if not (0 <= r < NUM_REGISTERS):
-            out.append(Violation("bad-register", where, f"r{r} out of range"))
-    if ins.op == "work" and ins.args[0] < 1:
-        out.append(Violation("bad-work-count", where, "work needs n >= 1"))
-    target = ins.call_target()
-    if target is not None:
-        if len(ins.call_arg_regs()) > MAX_CALL_ARGS:
-            out.append(Violation("too-many-args", where, "more than 8 call args"))
-        if target not in names:
-            out.append(
-                Violation("undefined-call-target", where, f"@{target} not defined")
-            )
-    for label in ins.branch_labels():
+            out.append(("bad-register", f"r{r} out of range"))
+    if syntax.kinds == "n" and args[0] < 1:
+        out.append(("bad-work-count", "work needs n >= 1"))
+    if op in _CALL_OPS:
+        if len(args[_ARG_REGISTERS[op]]) > MAX_CALL_ARGS:
+            out.append(("too-many-args", "more than 8 call args"))
+        if args[0] not in names:
+            out.append(("undefined-call-target", f"@{args[0]} not defined"))
+    for label in args[_LABELS[op]]:
         if label not in labels:
-            out.append(Violation("undefined-label", where, f"^{label} not defined"))
-    if ins.is_hook and ins.args[0] not in m.regions:
-        out.append(
-            Violation("unknown-region", where, f"region {ins.args[0]} not in table")
-        )
+            out.append(("undefined-label", f"^{label} not defined"))
+    if syntax.kinds == "h" and args[0] not in m.regions:
+        out.append(("unknown-region", f"region {args[0]} not in table"))
     return out
 
 
+def _bad_operands(ins: Instruction) -> str:
+    return f"'{ins.op}' takes operands {SIGNATURES[ins.op]!r}, got {ins.args!r}"
+
+
 def _register_operands(ins: Instruction) -> tuple[int, ...]:
-    if ins.op == "li":
-        return (ins.args[0],)
-    if ins.op == "addi":
-        return (ins.args[0], ins.args[1])
-    if ins.op == "add":
-        return ins.args
-    if ins.op == "jnz":
-        return (ins.args[0],)
-    if ins.op == "ret":
-        return ins.args
-    if ins.op in ("call", "call.try"):
-        return ins.call_arg_regs()
-    return ()
+    return ins.args[_REGISTERS[ins.op]]
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +386,14 @@ def _quote(s: str) -> str:
 
 
 def format_instruction(ins: Instruction) -> str:
-    op = ins.op
-    if op in ("li", "addi", "add"):
-        regs = _register_operands(ins)
-        parts = [f"r{r}" for r in regs]
-        if op in ("li", "addi"):
-            parts.append(str(ins.args[-1]))
-        return f"{op} " + ", ".join(parts)
-    if op == "work":
-        return f"work {ins.args[0]}"
-    if op == "call":
-        parts = [f"@{ins.args[0]}"] + [f"r{r}" for r in ins.args[1:]]
-        return "call " + ", ".join(parts)
-    if op == "call.try":
-        parts = [f"@{ins.args[0]}"]
-        parts += [f"r{r}" for r in ins.call_arg_regs()]
-        parts += [f"^{ins.args[-2]}", f"^{ins.args[-1]}"]
-        return "call.try " + ", ".join(parts)
-    if op == "jmp":
-        return f"jmp ^{ins.args[0]}"
-    if op == "jnz":
-        return f"jnz r{ins.args[0]}, ^{ins.args[1]}, ^{ins.args[2]}"
-    if op == "ret":
-        return "ret" if not ins.args else f"ret r{ins.args[0]}"
-    if op in ("throw", "rethrow"):
-        return op
-    if op in HOOK_OPS:
-        return f"{op} {ins.args[0]}"
-    raise ValueError(f"unknown op {op!r}")
+    # Only the operand count is checked here; validate checks types.
+    n = len(ins.args)
+    syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
+    if syntax is None:
+        if ins.op not in ALL_OPS:
+            raise ValueError(f"unknown op {ins.op!r}")
+        raise ValueError(_bad_operands(ins))
+    return syntax.template.format(*ins.args)
 
 
 def print_module(m: IrModule) -> str:
@@ -530,85 +543,94 @@ def _parse_target(token: str, lineno: int) -> str:
     return token[1:]
 
 
+def _parse_count(token: str, lineno: int) -> int:
+    n = _parse_imm(token, lineno)
+    if n < 1:
+        raise IrParseError("work needs n >= 1", lineno)
+    return n
+
+
+def _parse_region(token: str, lineno: int) -> int:
+    rid = _parse_imm(token, lineno)
+    if rid < 0:
+        raise IrParseError("region id must be non-negative", lineno)
+    return rid
+
+
+# Each operand kind's token parser and printed sigil.
+_KINDS = {
+    "r": (_parse_reg, "r"),
+    "i": (_parse_imm, ""),
+    "n": (_parse_count, ""),
+    "h": (_parse_region, ""),
+    "l": (_parse_label_ref, "^"),
+    "f": (_parse_target, "@"),
+}
+
+
+class _Syntax(NamedTuple):
+    """One mnemonic at one arity."""
+
+    kinds: str
+    parsers: tuple[Callable[[str, int], int | str], ...]
+    template: str
+    shape: tuple  # the mnemonic, then each operand's type
+
+
+def _syntax(op: str, n: int) -> _Syntax | None:
+    """``op`` with ``n`` operands, or None when it has no such arity.
+    ``*`` takes any number of registers here: the call-argument limit is
+    a range check, like a register's."""
+    sig = SIGNATURES.get(op, "")
+    spare = n - len(sig) + sig.count("*") + sig.count("?")
+    if op not in SIGNATURES or spare < 0:
+        return None
+    if "*" not in sig and spare > sig.count("?"):
+        return None
+    kinds = sig.replace("*", "r" * spare).replace("?", "r" * spare)
+    operands = ", ".join(_KINDS[k][1] + "{}" for k in kinds)
+    parsers = tuple(_KINDS[k][0] for k in kinds)
+    shape = (op, *[str if k in "lf" else int for k in kinds])
+    return _Syntax(kinds, parsers, f"{op} {operands}".rstrip(), shape)
+
+
+# Every (op, arity) the parser accepts, and the same keyed by operand
+# types for validate.
+_SYNTAX = {
+    (op, n): syntax
+    for op, sig in SIGNATURES.items()
+    for n in range(len(sig) + MAX_CALL_ARGS)
+    if (syntax := _syntax(op, n)) is not None
+}
+_SHAPES = {syntax.shape: syntax for syntax in _SYNTAX.values()}
+
+
 def parse_instruction(line: str, lineno: int) -> Instruction:
     head, _, rest = line.partition(" ")
     operands = [t.strip() for t in rest.split(",")] if rest.strip() else []
     op = head.strip()
-    if op not in ALL_OPS:
+    syntax = _SYNTAX.get((op, len(operands)))
+    if syntax is None:
+        _reject_operand_count(op, operands, lineno)
+    for i, parse in enumerate(syntax.parsers):
+        operands[i] = parse(operands[i], lineno)
+    return Instruction(op, tuple(operands))
+
+
+def _reject_operand_count(op: str, operands: list[str], lineno: int) -> NoReturn:
+    sig = SIGNATURES.get(op)
+    if sig is None:
         raise IrParseError(f"unknown instruction '{op}'", lineno)
-
-    def arity(n: int) -> None:
-        if len(operands) != n:
-            raise IrParseError(f"'{op}' expects {n} operand(s)", lineno)
-
-    if op == "li":
-        arity(2)
-        return Instruction(op, (_parse_reg(operands[0], lineno), _parse_imm(operands[1], lineno)))
-    if op == "addi":
-        arity(3)
-        return Instruction(
-            op,
-            (
-                _parse_reg(operands[0], lineno),
-                _parse_reg(operands[1], lineno),
-                _parse_imm(operands[2], lineno),
-            ),
-        )
-    if op == "add":
-        arity(3)
-        return Instruction(op, tuple(_parse_reg(t, lineno) for t in operands))
-    if op == "work":
-        arity(1)
-        n = _parse_imm(operands[0], lineno)
-        if n < 1:
-            raise IrParseError("work needs n >= 1", lineno)
-        return Instruction(op, (n,))
-    if op == "call":
-        if not operands:
-            raise IrParseError("call needs a target", lineno)
-        target = _parse_target(operands[0], lineno)
-        regs = tuple(_parse_reg(t, lineno) for t in operands[1:])
-        if len(regs) > MAX_CALL_ARGS:
-            raise IrParseError("more than 8 call arguments", lineno)
-        return Instruction(op, (target, *regs))
-    if op == "call.try":
-        if len(operands) < 3:
-            raise IrParseError("call.try needs target and two labels", lineno)
-        target = _parse_target(operands[0], lineno)
-        regs = tuple(_parse_reg(t, lineno) for t in operands[1:-2])
-        if len(regs) > MAX_CALL_ARGS:
-            raise IrParseError("more than 8 call arguments", lineno)
-        normal = _parse_label_ref(operands[-2], lineno)
-        unwind = _parse_label_ref(operands[-1], lineno)
-        return Instruction(op, (target, *regs, normal, unwind))
-    if op == "jmp":
-        arity(1)
-        return Instruction(op, (_parse_label_ref(operands[0], lineno),))
-    if op == "jnz":
-        arity(3)
-        return Instruction(
-            op,
-            (
-                _parse_reg(operands[0], lineno),
-                _parse_label_ref(operands[1], lineno),
-                _parse_label_ref(operands[2], lineno),
-            ),
-        )
-    if op == "ret":
-        if len(operands) > 1:
-            raise IrParseError("ret takes at most one register", lineno)
-        if operands:
-            return Instruction(op, (_parse_reg(operands[0], lineno),))
-        return Instruction(op)
-    if op in ("throw", "rethrow"):
-        arity(0)
-        return Instruction(op)
-    # hook ops
-    arity(1)
-    rid = _parse_imm(operands[0], lineno)
-    if rid < 0:
-        raise IrParseError("region id must be non-negative", lineno)
-    return Instruction(op, (rid,))
+    syntax = _syntax(op, len(operands))
+    if syntax is not None:
+        # Too many call arguments, once the operands up to the last one parse.
+        last_arg = syntax.kinds.rindex("r")
+        for parse, token in zip(syntax.parsers[: last_arg + 1], operands):
+            parse(token, lineno)
+        raise IrParseError(f"more than {MAX_CALL_ARGS} call arguments", lineno)
+    bound = "at least " if "*" in sig else "at most " if "?" in sig else ""
+    count = len(sig) - sig.count("*")
+    raise IrParseError(f"'{op}' expects {bound}{count} operand(s)", lineno)
 
 
 _FUNC_KV_RE = re.compile(r"(pretty|file|lines|attrs)=")

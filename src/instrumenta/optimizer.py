@@ -110,39 +110,6 @@ def _used_registers(f: IrFunction) -> set[int]:
     return used
 
 
-def _remap_registers(ins: Instruction, rmap: dict[int, int]) -> Instruction:
-    op = ins.op
-    if op == "li":
-        return Instruction(op, (rmap[ins.args[0]], ins.args[1]))
-    if op == "addi":
-        return Instruction(op, (rmap[ins.args[0]], rmap[ins.args[1]], ins.args[2]))
-    if op == "add":
-        return Instruction(op, tuple(rmap[r] for r in ins.args))
-    if op == "jnz":
-        return Instruction(op, (rmap[ins.args[0]], ins.args[1], ins.args[2]))
-    if op == "ret":
-        return Instruction(op, tuple(rmap[r] for r in ins.args))
-    if op == "call":
-        return Instruction(op, (ins.args[0], *(rmap[r] for r in ins.args[1:])))
-    if op == "call.try":
-        regs = tuple(rmap[r] for r in ins.call_arg_regs())
-        return Instruction(op, (ins.args[0], *regs, ins.args[-2], ins.args[-1]))
-    return ins
-
-
-def _remap_labels(ins: Instruction, lmap: dict[str, str]) -> Instruction:
-    op = ins.op
-    if op == "jmp":
-        return Instruction(op, (lmap[ins.args[0]],))
-    if op == "jnz":
-        return Instruction(op, (ins.args[0], lmap[ins.args[1]], lmap[ins.args[2]]))
-    if op == "call.try":
-        return Instruction(
-            op, (*ins.args[:-2], lmap[ins.args[-2]], lmap[ins.args[-1]])
-        )
-    return ins
-
-
 class _Inliner:
     def __init__(self, module: IrModule, threshold: int):
         self.module = module
@@ -199,18 +166,19 @@ class _Inliner:
                 if ins.op != "call":
                     if ins.op == "call.try":
                         site = InlineSite(
-                            caller.mangled_name, ins.args[0], block.label, ii
+                            caller.mangled_name, ins.call_target(), block.label, ii
                         )
                         self.note_skip(site, "exception-edge")
                     ii += 1
                     continue
-                site = InlineSite(caller.mangled_name, ins.args[0], block.label, ii)
-                reason = self.ineligible_reason(ins.args[0])
+                target = ins.call_target()
+                site = InlineSite(caller.mangled_name, target, block.label, ii)
+                reason = self.ineligible_reason(target)
                 if reason is not None:
                     self.note_skip(site, reason)
                     ii += 1
                     continue
-                callee = self.functions[ins.args[0]]
+                callee = self.functions[target]
                 rmap = self.register_map(caller, callee)
                 if rmap is None:
                     self.note_skip(site, "register-pressure")
@@ -295,11 +263,10 @@ class _Inliner:
         )
         if single:
             body = callee.blocks[0].instructions
-            spliced = [_remap_registers(i, rmap) for i in body[:-1]]
-            ret = body[-1]
-            tail = []
-            if ret.args:
-                tail.append(Instruction("addi", (0, rmap[ret.args[0]], 0)))
+            spliced = [i.remap(rmap) for i in body[:-1]]
+            # The returned register, if any, lands in the caller's r0.
+            returned = _register_operands(body[-1])
+            tail = [Instruction("addi", (0, rmap[r], 0)) for r in returned]
             block.instructions[ii : ii + 1] = init + spliced + tail
             return len(init) + len(spliced) + len(tail)
 
@@ -310,15 +277,13 @@ class _Inliner:
         for cb in callee.blocks:
             nb = BasicBlock(lmap[cb.label])
             for ins in cb.instructions:
-                ins = _remap_registers(ins, rmap)
+                ins = ins.remap(rmap, lmap)
                 if ins.op == "ret":
-                    if ins.args:
-                        nb.instructions.append(
-                            Instruction("addi", (0, ins.args[0], 0))
-                        )
+                    for r in _register_operands(ins):
+                        nb.instructions.append(Instruction("addi", (0, r, 0)))
                     nb.instructions.append(Instruction("jmp", (cont_label,)))
                 else:
-                    nb.instructions.append(_remap_labels(ins, lmap))
+                    nb.instructions.append(ins)
             new_blocks.append(nb)
         cont = BasicBlock(cont_label, block.instructions[ii + 1 :])
         block.instructions = block.instructions[:ii] + init + [

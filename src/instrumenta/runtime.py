@@ -3,9 +3,10 @@ event recording into the columnar Trace, and the text trace format.
 
 A region's handle starts out unregistered, transitions exactly once to
 either a valid handle or the FILTERED sentinel, and never changes
-afterwards.  Enter/exit for filtered regions are cheap no-ops; for
-valid handles they append events and maintain a shadow stack that
-catches unbalanced instrumentation.
+afterwards.  The VM's hook path records enter/exit into a Monitor:
+for filtered regions they are cheap no-ops; for valid handles they
+append events and maintain a shadow stack that catches unbalanced
+instrumentation.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from operator import eq
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
-from .ir import RegionDescriptor
+from .ir import RegionDescriptor, _quote
 
-INVALID_REGION = 0
 FILTERED_REGION = 1
 FIRST_VALID_HANDLE = 2
 
@@ -154,7 +154,7 @@ class RegionRegistry:
 
 
 class Monitor:
-    """Single-location event recorder driven by the hook pseudo-ops."""
+    """Single-location monitoring state; ``vm.execute`` records enter/exit into it."""
 
     def __init__(self, runtime_rules: FilterRuleSet | None = None):
         self.rules = runtime_rules if runtime_rules is not None else FilterRuleSet()
@@ -189,52 +189,12 @@ class Monitor:
         self.registry.handles[rid] = handle
         return handle, True
 
-    def handle_for(self, region_id: int) -> int:
-        return self.registry.handles.get(region_id, INVALID_REGION)
-
-    def on_enter(self, handle: int, ts: int) -> None:
-        if handle == INVALID_REGION:
-            raise TraceError("enter with unregistered handle")
-        if handle == FILTERED_REGION:
-            return
-        self.events.codes.append(handle)
-        self.events.stamps.append(ts)
-        self.shadow_stack.append(handle)
-
-    def on_exit(self, handle: int, ts: int) -> None:
-        if handle == INVALID_REGION:
-            raise TraceError("exit with unregistered handle")
-        if handle == FILTERED_REGION:
-            return
-        if not self.shadow_stack or self.shadow_stack[-1] != handle:
-            top = self.shadow_stack[-1] if self.shadow_stack else None
-            raise UnbalancedExitError(
-                f"exit for handle {handle} while top of stack is {top}"
-            )
-        self.shadow_stack.pop()
-        self.events.codes.append(-handle)
-        self.events.stamps.append(ts)
-
-
-def register_region(
-    reg: RegionRegistry, d: RegionDescriptor, runtime_rules: FilterRuleSet
-) -> int:
-    """Functional wrapper over Monitor registration for a bare registry."""
-    m = Monitor(runtime_rules)
-    m.registry = reg
-    handle, _ = m.register_region(d)
-    return handle
-
 
 # ---------------------------------------------------------------------------
 # Trace serialization.  One record per line:
 #   D <handle> "<pretty>" "<canonical>" "<file>" <begin>:<end>
 #   E <timestamp> <handle>
 #   X <timestamp> <handle>
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def write_trace(events: Iterable[TraceEvent]) -> str:

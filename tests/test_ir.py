@@ -13,11 +13,14 @@ from instrumenta.ir import (
     IrFunction,
     IrModule,
     IrParseError,
+    IrValidationError,
+    format_instruction,
     parse_module,
     print_module,
     validate,
 )
 from instrumenta.optimizer import O0
+from instrumenta.vm import execute
 
 I = Instruction.make
 
@@ -262,6 +265,31 @@ class TestValidate:
         assert "unknown-region" in [
             v.code for v in validate(IrModule(name="m", functions=[f]))
         ]
+
+    @pytest.mark.parametrize(
+        "ins",
+        [
+            I("add", 1, 2),
+            I("li", 1),
+            I("li", 1, True),
+            I("jmp"),
+            I("jnz", 1, "e"),
+            I("hook.enter"),
+            I("work", "3"),
+        ],
+        ids=lambda ins: f"{ins.op}{ins.args}",
+    )
+    def test_bad_operands(self, ins):
+        f = _valid_function("main")
+        f.blocks[0].instructions = [ins] if ins.is_terminator else [ins, I("ret")]
+        m = IrModule(name="m", functions=[f])
+        assert [v.code for v in validate(m)] == ["bad-operands"]
+        with pytest.raises(IrValidationError, match="bad-operands at main/\\^e\\[0\\]"):
+            execute(m)
+
+    def test_bad_operand_count_is_not_printed(self):
+        with pytest.raises(ValueError, match="'li' takes operands 'ri', got \\(1,\\)"):
+            format_instruction(I("li", 1))
 
     def test_violations_name_the_spot(self):
         f = _valid_function()

@@ -11,15 +11,12 @@ from instrumenta.optimizer import O0
 from instrumenta.runtime import (
     FILTERED_REGION,
     FIRST_VALID_HANDLE,
-    INVALID_REGION,
     Monitor,
-    RegionRegistry,
     Trace,
     TraceError,
     TraceEvent,
     UnbalancedExitError,
     read_trace,
-    register_region,
     write_trace,
 )
 from instrumenta.vm import execute
@@ -74,51 +71,6 @@ class TestRegistration:
         handle, _ = m.register_region(DESC)
         assert handle == FILTERED_REGION
 
-    def test_functional_wrapper(self):
-        reg = RegionRegistry()
-        handle = register_region(reg, DESC, FilterRuleSet())
-        assert handle == 2
-        assert register_region(reg, DESC, FilterRuleSet()) == 2
-
-    def test_handle_for_unregistered(self):
-        assert Monitor().handle_for(0) == INVALID_REGION
-
-
-class TestEnterExit:
-    def test_enter_exit_pair(self):
-        m = Monitor()
-        handle, _ = m.register_region(DESC)
-        m.on_enter(handle, 5)
-        m.on_exit(handle, 9)
-        assert [(e.kind, e.timestamp) for e in m.events[1:]] == [("E", 5), ("X", 9)]
-        assert m.shadow_stack == []
-
-    def test_filtered_is_silent(self):
-        m = Monitor(EXCLUDE_FUNC)
-        handle, _ = m.register_region(DESC)
-        m.on_enter(handle, 1)
-        m.on_exit(handle, 2)
-        assert m.events == []
-
-    def test_unbalanced_exit(self):
-        m = Monitor()
-        h1, _ = m.register_region(DESC)
-        h2, _ = m.register_region(DESC_MAIN)
-        m.on_enter(h1, 0)
-        with pytest.raises(UnbalancedExitError):
-            m.on_exit(h2, 1)
-
-    def test_exit_on_empty_stack(self):
-        m = Monitor()
-        handle, _ = m.register_region(DESC)
-        with pytest.raises(UnbalancedExitError):
-            m.on_exit(handle, 0)
-
-    def test_invalid_handle_rejected(self):
-        m = Monitor()
-        with pytest.raises(TraceError):
-            m.on_enter(INVALID_REGION, 0)
-
 
 class TestTraceIo:
     def test_empty(self):
@@ -128,9 +80,8 @@ class TestTraceIo:
     def test_roundtrip_simple(self):
         m = Monitor()
         handle, _ = m.register_region(DESC)
-        m.on_enter(handle, 5)
-        m.on_exit(handle, 9)
-        text = write_trace(m.events)
+        events = Trace.of([*m.events, TraceEvent("E", 5, handle), TraceEvent("X", 9, handle)])
+        text = write_trace(events)
         assert read_trace(text) == [
             TraceEvent("D", 0, 2, RegionDescriptor(2, "func(int)", "_Z4funci", "a.c", 13, 21)),
             TraceEvent("E", 5, 2),
@@ -209,14 +160,13 @@ class TestTraceEventContract:
     def test_monitor_and_trace_io_produce_hand_built_events(self):
         m = Monitor()
         handle, _ = m.register_region(DESC)
-        m.on_enter(handle, 5)
-        m.on_exit(handle, 9)
+        trace = Trace.of([*m.events, TraceEvent("E", 5, handle), TraceEvent("X", 9, handle)])
         expected = [
             TraceEvent("D", 0, 2, RegionDescriptor(2, "func(int)", "_Z4funci", "a.c", 13, 21)),
             TraceEvent("E", 5, 2),
             TraceEvent("X", 9, 2),
         ]
-        for events in (m.events, read_trace(write_trace(m.events))):
+        for events in (trace, read_trace(write_trace(trace))):
             assert events == expected
             assert all(type(ev) is TraceEvent for ev in events)
             assert [hash(ev) for ev in events] == [hash(ev) for ev in expected]

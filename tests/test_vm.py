@@ -268,7 +268,7 @@ def _raised(m):
 
 
 class TestHookErrors:
-    """Hook misuse in hand-written modules fails the run, as on Monitor."""
+    """Hook misuse in hand-written modules fails the run."""
 
     def test_enter_before_register(self):
         m = _hooked_main("hook.enter 0", "ret")
