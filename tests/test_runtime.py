@@ -6,7 +6,7 @@ import gens
 from instrumenta.analysis import build_profile, compare_runs
 from instrumenta.filters import FilterRuleSet, parse_filter
 from instrumenta.instrument import instrument_module
-from instrumenta.ir import RegionDescriptor
+from instrumenta.ir import RegionDescriptor, parse_module
 from instrumenta.optimizer import O0
 from instrumenta.runtime import (
     FILTERED_REGION,
@@ -19,12 +19,22 @@ from instrumenta.runtime import (
     read_trace,
     write_trace,
 )
-from instrumenta.vm import execute
+from instrumenta.vm import CostModel, execute
 
 DESC = RegionDescriptor(0, "func(int)", "_Z4funci", "a.c", 13, 21)
 DESC_MAIN = RegionDescriptor(1, "main", "main", "a.c", 1, 10)
 
 EXCLUDE_FUNC = parse_filter("REGION_NAMES_BEGIN\nEXCLUDE func*\nREGION_NAMES_END\n")
+
+
+def _hooked(*body):
+    """A hand-written module: main runs ``body``; regions 0 and 1 are DESC and DESC_MAIN."""
+    lines = "".join(f"  {ins}\n" for ins in body)
+    return parse_module(
+        f'module "m"\nfunc @main file="a.c" lines=1:10\n{{\n^e:\n{lines}}}\nregions:\n'
+        'region 0 name="func(int)" canonical="_Z4funci" file="a.c" lines=13:21 flags=0\n'
+        'region 1 name="main" canonical="main" file="a.c" lines=1:10 flags=0\n'
+    )
 
 
 class TestRegistration:
@@ -70,6 +80,41 @@ class TestRegistration:
         m = Monitor(mangled_only)
         handle, _ = m.register_region(DESC)
         assert handle == FILTERED_REGION
+
+
+class TestEnterExit:
+    """Enter and exit are recorded by the VM, so they are driven through ``execute``."""
+
+    def test_enter_exit_pair(self):
+        costs = CostModel()
+        r = execute(_hooked("hook.register 0", "hook.enter 0", "hook.exit 0", "ret"), costs=costs)
+        recorded = costs.hook_guard + costs.hook_event
+        enter = costs.hook_register_first
+        assert [(e.kind, e.timestamp, e.handle) for e in r.events] == [
+            ("D", 0, 2), ("E", enter, 2), ("X", enter + recorded, 2),
+        ]
+        assert r.total_ticks == enter + 2 * recorded + 1
+
+    def test_filtered_is_silent(self):
+        costs = CostModel()
+        m = _hooked("hook.register 0", "hook.enter 0", "hook.exit 0", "ret")
+        r = execute(m, costs=costs, runtime_rules=EXCLUDE_FUNC)
+        assert r.events == []
+        assert r.total_ticks == costs.hook_register_first + 2 * costs.hook_guard + 1
+
+    def test_unbalanced_exit(self):
+        m = _hooked("hook.register 0", "hook.register 1", "hook.enter 0", "hook.exit 1", "ret")
+        with pytest.raises(UnbalancedExitError, match="exit for handle 3 while top of stack is 2"):
+            execute(m)
+
+    def test_exit_on_empty_stack(self):
+        m = _hooked("hook.register 0", "hook.exit 0", "ret")
+        with pytest.raises(UnbalancedExitError, match="top of stack is None"):
+            execute(m)
+
+    def test_invalid_handle_rejected(self):
+        with pytest.raises(TraceError, match="enter with unregistered handle"):
+            execute(_hooked("hook.enter 0", "ret"))
 
 
 class TestTraceIo:
