@@ -381,8 +381,43 @@ def _register_operands(ins: Instruction) -> tuple[int, ...]:
 # Printing
 
 
+# The quoted-string grammar of the IR and the trace: a backslash escapes
+# `"` or `\` and nothing else.  _quote writes it and _read_quoted reads it.
+_STRING = r'"([^"\\]*(?:\\["\\][^"\\]*)*)'
+_STRING_RE = re.compile(_STRING + '(")?')
+_ESCAPE_RE = re.compile(r"\\(.)")
+# Both readers split lines with str.splitlines first, so a string holding
+# any of these characters could not be read back.
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+class _SyntaxAt(Exception):
+    """A syntax error in one line; ``args`` are the message and its index
+    in the line.  Whoever split the text into lines adds the line number."""
+
+
 def _quote(s: str) -> str:
+    if _LINE_BREAK_RE.search(s):
+        raise ValueError(f"string {s!r} holds a line break")
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _read_quoted(line: str, pos: int) -> tuple[str, int]:
+    """The string quoted at ``line[pos]``, decoded, and the index past its
+    closing quote.  The first bad escape is reported at its backslash,
+    before a missing closing quote, which is reported at the opening one."""
+    mo = _STRING_RE.match(line, pos)
+    if mo is None:
+        raise _SyntaxAt("expected quoted string", pos)
+    body = mo.group(1)
+    if mo.group(2) is None:
+        # The body stops at a closing quote, a bad escape or the line's end.
+        if mo.end(1) < len(line):
+            raise _SyntaxAt("bad escape", mo.end(1))
+        raise _SyntaxAt("unterminated string", pos)
+    if "\\" in body:
+        body = _ESCAPE_RE.sub(r"\1", body)
+    return body, mo.end()
 
 
 def format_instruction(ins: Instruction) -> str:
@@ -437,58 +472,19 @@ def print_module(m: IrModule) -> str:
 # Parsing
 
 
+# Text before the first ';' outside a well-formed quoted string.
+_CODE_RE = re.compile(f'(?:[^;"]+|{_STRING}")*')
+
+
 def _strip_comment(line: str) -> str:
     # ';' starts a comment unless inside a quoted string.  Without a
     # quote no backslash escapes anything, so the first ';' decides.
     if '"' not in line:
         return line.partition(";")[0]
-    in_quote = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and in_quote:
-            i += 2
-            continue
-        if c == '"':
-            in_quote = not in_quote
-        elif c == ";" and not in_quote:
-            return line[:i]
-        i += 1
-    return line
-
-
-def _unquote(token: str, lineno: int, col: int) -> str:
-    if len(token) < 2 or token[0] != '"' or token[-1] != '"':
-        raise IrParseError("expected quoted string", lineno, col)
-    body = token[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                raise IrParseError("bad escape in string", lineno, col)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def _scan_quoted(line: str, pos: int, lineno: int) -> tuple[str, int]:
-    # Returns the raw quoted token starting at pos and the index past it.
-    if pos >= len(line) or line[pos] != '"':
-        raise IrParseError("expected quoted string", lineno, pos + 1)
-    i = pos + 1
-    while i < len(line):
-        if line[i] == "\\":
-            i += 2
-            continue
-        if line[i] == '"':
-            return line[pos : i + 1], i + 1
-        i += 1
-    raise IrParseError("unterminated string", lineno, pos + 1)
+    end = _CODE_RE.match(line).end()
+    # Short of a ';', a malformed string stopped the match: keep the
+    # whole line, which the parser then rejects.
+    return line[:end] if line.startswith(";", end) else line
 
 
 class _Parser:
@@ -634,60 +630,59 @@ def _reject_operand_count(op: str, operands: list[str], lineno: int) -> NoReturn
 
 
 _FUNC_KV_RE = re.compile(r"(pretty|file|lines|attrs)=")
+_LINES_RE = re.compile(r"(\d+):(\d+)")
+_ATTRS_RE = re.compile(r"[A-Za-z_,]+")
 
 
-def _parse_func_header(line: str, lineno: int) -> IrFunction:
-    rest = line[len("func") :].strip()
-    if not rest.startswith("@"):
-        raise IrParseError("func needs @name", lineno)
+def _parse_func_header(line: str) -> IrFunction:
+    pos = len(line) - len(line[len("func") :].lstrip())
+    if not line.startswith("@", pos):
+        raise _SyntaxAt("func needs @name", pos)
     # name runs to the first space
-    name_end = rest.find(" ")
+    name_end = line.find(" ", pos)
     if name_end == -1:
-        raise IrParseError("func header needs file= and lines=", lineno)
-    name = rest[1:name_end]
+        raise _SyntaxAt("func header needs file= and lines=", 0)
+    name = line[pos + 1 : name_end]
     if not _NAME_RE.match(name):
-        raise IrParseError(f"bad function name '{name}'", lineno)
+        raise _SyntaxAt(f"bad function name '{name}'", pos + 1)
     pos = name_end
     pretty: str | None = None
     file: str | None = None
     begin = end = None
     attrs: set[str] = set()
-    while pos < len(rest):
-        if rest[pos] == " ":
+    while pos < len(line):
+        if line[pos] == " ":
             pos += 1
             continue
-        mo = _FUNC_KV_RE.match(rest, pos)
+        mo = _FUNC_KV_RE.match(line, pos)
         if not mo:
-            raise IrParseError(
-                f"unexpected token '{rest[pos:].split()[0]}' in func header", lineno,
-                pos + 1,
+            raise _SyntaxAt(
+                f"unexpected token '{line[pos:].split()[0]}' in func header", pos
             )
         key = mo.group(1)
         pos = mo.end()
-        if key in ("pretty", "file"):
-            raw, pos = _scan_quoted(rest, pos, lineno)
-            value = _unquote(raw, lineno, pos)
-            if key == "pretty":
-                pretty = value
-            else:
-                file = value
+        if key == "pretty":
+            pretty, pos = _read_quoted(line, pos)
+        elif key == "file":
+            file, pos = _read_quoted(line, pos)
         elif key == "lines":
-            mo2 = re.match(r"(\d+):(\d+)", rest[pos:])
-            if not mo2:
-                raise IrParseError("lines= needs <a>:<b>", lineno, pos + 1)
-            begin, end = int(mo2.group(1)), int(mo2.group(2))
-            pos += mo2.end()
+            mo = _LINES_RE.match(line, pos)
+            if not mo:
+                raise _SyntaxAt("lines= needs <a>:<b>", pos)
+            begin, end = int(mo.group(1)), int(mo.group(2))
+            pos = mo.end()
         else:  # attrs
-            mo2 = re.match(r"[A-Za-z_,]+", rest[pos:])
-            if not mo2:
-                raise IrParseError("attrs= needs a name list", lineno, pos + 1)
-            for a in mo2.group(0).split(","):
+            mo = _ATTRS_RE.match(line, pos)
+            if not mo:
+                raise _SyntaxAt("attrs= needs a name list", pos)
+            for a in mo.group(0).split(","):
                 if a not in FUNCTION_ATTRS:
-                    raise IrParseError(f"unknown attribute '{a}'", lineno, pos + 1)
+                    raise _SyntaxAt(f"unknown attribute '{a}'", pos)
                 attrs.add(a)
-            pos += mo2.end()
+                pos += len(a) + 1
+            pos = mo.end()
     if file is None or begin is None:
-        raise IrParseError("func header needs file= and lines=", lineno)
+        raise _SyntaxAt("func header needs file= and lines=", 0)
     return IrFunction(
         mangled_name=name,
         file=file,
@@ -698,28 +693,29 @@ def _parse_func_header(line: str, lineno: int) -> IrFunction:
     )
 
 
-def _parse_region_line(line: str, lineno: int) -> RegionDescriptor:
-    rest = line[len("region") :].strip()
-    mo = re.match(r"(\d+)\s+name=", rest)
+_REGION_ID_RE = re.compile(r"(\d+)\s+name=")
+_REGION_KEY_RES = {key: re.compile(rf"\s+{key}=") for key in ("canonical", "file")}
+_REGION_TAIL_RE = re.compile(r"\s+lines=(\d+):(\d+)\s+flags=(\d+)\s*\Z")
+
+
+def _parse_region_line(line: str) -> RegionDescriptor:
+    pos = len(line) - len(line[len("region") :].lstrip())
+    mo = _REGION_ID_RE.match(line, pos)
     if not mo:
-        raise IrParseError("region line needs <id> name=...", lineno)
+        raise _SyntaxAt("region line needs <id> name=...", pos)
     rid = int(mo.group(1))
-    pos = mo.end()
-    raw, pos = _scan_quoted(rest, pos, lineno)
-    name = _unquote(raw, lineno, pos)
-    for key in ("canonical", "file"):
-        mo = re.match(rf"\s+{key}=", rest[pos:])
+    name, pos = _read_quoted(line, mo.end())
+    strings = []
+    for key, key_re in _REGION_KEY_RES.items():
+        mo = key_re.match(line, pos)
         if not mo:
-            raise IrParseError(f"region line needs {key}=", lineno)
-        pos += mo.end()
-        raw, pos = _scan_quoted(rest, pos, lineno)
-        if key == "canonical":
-            canonical = _unquote(raw, lineno, pos)
-        else:
-            file = _unquote(raw, lineno, pos)
-    mo = re.match(r"\s+lines=(\d+):(\d+)\s+flags=(\d+)\s*\Z", rest[pos:])
+            raise _SyntaxAt(f"region line needs {key}=", pos)
+        value, pos = _read_quoted(line, mo.end())
+        strings.append(value)
+    canonical, file = strings
+    mo = _REGION_TAIL_RE.match(line, pos)
     if not mo:
-        raise IrParseError("region line needs lines=<a>:<b> flags=<u32>", lineno)
+        raise _SyntaxAt("region line needs lines=<a>:<b> flags=<u32>", pos)
     return RegionDescriptor(
         region_id=rid,
         name=name,
@@ -734,6 +730,17 @@ def _parse_region_line(line: str, lineno: int) -> RegionDescriptor:
 def parse_module(text: str, source_name: str = "") -> IrModule:
     """Parse and validate module text; raises with line/column on errors."""
     p = _Parser(text)
+    try:
+        return _parse_lines(p, source_name)
+    except _SyntaxAt as exc:
+        # A header's error, on the line read last; columns count its indent.
+        message, pos = exc.args
+        raw = p.lines[p.pos - 1]
+        col = len(raw) - len(raw.lstrip()) + pos + 1
+        raise IrParseError(message, p.pos, col) from None
+
+
+def _parse_lines(p: _Parser, source_name: str) -> IrModule:
     item = p.next_line()
     if item is None:
         raise IrParseError("missing module line", 1)
@@ -743,12 +750,11 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
     pos = len("module")
     while pos < len(line) and line[pos] == " ":
         pos += 1
-    raw, end = _scan_quoted(line, pos, lineno)
-    if line[end:].strip():
-        raise IrParseError("unexpected text after module name", lineno, end + 1)
-    module = IrModule(
-        name=_unquote(raw, lineno, 1), source_file_default=source_name
-    )
+    name, end = _read_quoted(line, pos)
+    rest = line[end:].lstrip()
+    if rest:
+        raise _SyntaxAt("unexpected text after module name", len(line) - len(rest))
+    module = IrModule(name=name, source_file_default=source_name)
     seen_names: dict[str, int] = {}
     instr_lines: dict[tuple[str, str, int], int] = {}
 
@@ -765,7 +771,7 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
             seen_names[name] = lineno
             module.functions.append(IrFunction(mangled_name=name, is_extern=True))
         elif line.startswith("func"):
-            f = _parse_func_header(line, lineno)
+            f = _parse_func_header(line)
             if f.mangled_name in seen_names:
                 raise IrParseError(
                     f"duplicate function name '{f.mangled_name}'", lineno
@@ -781,7 +787,7 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
                 if peeked is None or not peeked[1].startswith("region "):
                     break
                 rlineno, rline = p.next_line()
-                desc = _parse_region_line(rline, rlineno)
+                desc = _parse_region_line(rline)
                 if desc.region_id in module.regions:
                     raise IrParseError(
                         f"duplicate region id {desc.region_id}", rlineno

@@ -18,7 +18,7 @@ from operator import eq
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
-from .ir import RegionDescriptor, _quote
+from .ir import RegionDescriptor, _quote, _read_quoted, _SyntaxAt
 
 FILTERED_REGION = 1
 FIRST_VALID_HANDLE = 2
@@ -235,23 +235,11 @@ def _split_trace_line(line: str, lineno: int) -> list[str]:
             i += 1
             continue
         if line[i] == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < n:
-                if line[j] == "\\":
-                    if j + 1 >= n or line[j + 1] not in ('"', "\\"):
-                        raise TraceError(f"line {lineno}: bad escape")
-                    out.append(line[j + 1])
-                    j += 2
-                    continue
-                if line[j] == '"':
-                    break
-                out.append(line[j])
-                j += 1
-            else:
-                raise TraceError(f"line {lineno}: unterminated string")
-            fields.append("".join(out))
-            i = j + 1
+            try:
+                value, i = _read_quoted(line, i)
+            except _SyntaxAt as exc:
+                raise TraceError(f"line {lineno}: {exc.args[0]}") from None
+            fields.append(value)
         else:
             j = line.find(" ", i)
             if j == -1:

@@ -163,6 +163,63 @@ class TestParse:
             parse_module(text)
 
 
+_BODY = "\n{\n^e:\n  ret\n}\n"
+
+
+def _func(header):
+    return 'module "m"\n' + header + _BODY
+
+
+def _region(line):
+    return 'module "m"\nfunc @f file="a.c" lines=1:2' + _BODY + "regions:\n" + line
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ('module "a\\x"', 1, 10, "bad escape"),
+        ('module "a\\x', 1, 10, "bad escape"),
+        ('module "a', 1, 8, "unterminated string"),
+        ("module a", 1, 8, "expected quoted string"),
+        ('module "a" b', 1, 12, "unexpected text after module name"),
+        ('  module "a\\x"', 1, 12, "bad escape"),
+        ('module "a\\x" ; "b"', 1, 10, "bad escape"),
+        (_func('func @f pretty="a\\x" file="a.c" lines=1:2'), 2, 18, "bad escape"),
+        (_func('\tfunc @f pretty="a\\x" file="a.c" lines=1:2'), 2, 19, "bad escape"),
+        (_func('func @f file="a.c lines=1:2'), 2, 14, "unterminated string"),
+        (_func("func @f file=a.c lines=1:2"), 2, 14, "expected quoted string"),
+        (_func('func @f file="a.c" lines=1'), 2, 26, "lines= needs <a>:<b>"),
+        (_func('func @f file="a.c" lines=1:2 attrs=9'), 2, 36,
+         "attrs= needs a name list"),
+        (_func('func @f file="a.c" lines=1:2 attrs=builtin,bogus'), 2, 44,
+         "unknown attribute 'bogus'"),
+        (_func('func @f file="a.c" lines=1:2 junk'), 2, 30,
+         "unexpected token 'junk' in func header"),
+        (_func('func f file="a.c" lines=1:2'), 2, 6, "func needs @name"),
+        (_func('func @9f file="a.c" lines=1:2'), 2, 7, "bad function name '9f'"),
+        (_func('func @f file="a.c"'), 2, 1, "func header needs file= and lines="),
+        (_region('region 0 name="a\\x" canonical="b" file="c" lines=1:1 flags=0'),
+         8, 17, "bad escape"),
+        (_region('region 0 name="a" canonicl="b" file="c" lines=1:1 flags=0'),
+         8, 18, "region line needs canonical="),
+        (_region('region 0 name="a" canonical="b" fil="c" lines=1:1 flags=0'),
+         8, 32, "region line needs file="),
+        (_region('region 0 name="a" canonical="b" file=c lines=1:1 flags=0'),
+         8, 38, "expected quoted string"),
+        (_region('region 0 name="a" canonical="b" file="c'), 8, 38,
+         "unterminated string"),
+        (_region('region 0 name="a" canonical="b" file="c" lines=1:1 flags=x'),
+         8, 41, "region line needs lines=<a>:<b> flags=<u32>"),
+        (_region('region x name="a"'), 8, 8, "region line needs <id> name=..."),
+    ],
+)
+def test_header_error_position(text, line, col, message):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
 class TestPrint:
     def test_empty_module_exact(self):
         assert print_module(IrModule(name="m")) == 'module "m"\n'
