@@ -221,17 +221,18 @@ def instrument_module(
     the rule set; auto mode instruments everything first and inlines
     afterwards, so hooks of inlined bodies travel into their callers.
     """
-    violations = validate(m)
-    if violations:
-        raise IrValidationError(violations)
+    if mode == "plugin":
+        # inline_pass validates m before it copies it.
+        work, _ = inline_pass(m, level)
+    else:
+        violations = validate(m)
+        if violations:
+            raise IrValidationError(violations)
     if m.regions or any(_has_hooks(f) for f in m.functions):
         raise InstrumentError("module is already instrumented")
-
-    if mode == "plugin":
-        work, _ = inline_pass(m, level)
-    elif mode == "auto":
+    if mode == "auto":
         work = m.clone()
-    else:
+    elif mode != "plugin":
         raise InstrumentError(f"unknown mode '{mode}'")
 
     externs = frozenset(f.mangled_name for f in work.functions if f.is_extern)

@@ -629,19 +629,23 @@ def _reject_operand_count(op: str, operands: list[str], lineno: int) -> NoReturn
     raise IrParseError(f"'{op}' expects {bound}{count} operand(s)", lineno)
 
 
+# A module or func header separates its fields by spaces or tabs.
+_BLANK_RE = re.compile(r"[ \t]")
+_BLANKS_RE = re.compile(r"[ \t]*")
 _FUNC_KV_RE = re.compile(r"(pretty|file|lines|attrs)=")
 _LINES_RE = re.compile(r"(\d+):(\d+)")
 _ATTRS_RE = re.compile(r"[A-Za-z_,]+")
 
 
 def _parse_func_header(line: str) -> IrFunction:
-    pos = len(line) - len(line[len("func") :].lstrip())
+    pos = _BLANKS_RE.match(line, len("func")).end()
     if not line.startswith("@", pos):
         raise _SyntaxAt("func needs @name", pos)
-    # name runs to the first space
-    name_end = line.find(" ", pos)
-    if name_end == -1:
+    # name runs to the first blank
+    mo = _BLANK_RE.search(line, pos)
+    if mo is None:
         raise _SyntaxAt("func header needs file= and lines=", 0)
+    name_end = mo.start()
     name = line[pos + 1 : name_end]
     if not _NAME_RE.match(name):
         raise _SyntaxAt(f"bad function name '{name}'", pos + 1)
@@ -651,7 +655,7 @@ def _parse_func_header(line: str) -> IrFunction:
     begin = end = None
     attrs: set[str] = set()
     while pos < len(line):
-        if line[pos] == " ":
+        if line[pos] in " \t":
             pos += 1
             continue
         mo = _FUNC_KV_RE.match(line, pos)
@@ -747,9 +751,7 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
     lineno, line = item
     if not line.startswith("module"):
         raise IrParseError("first line must be module \"<name>\"", lineno)
-    pos = len("module")
-    while pos < len(line) and line[pos] == " ":
-        pos += 1
+    pos = _BLANKS_RE.match(line, len("module")).end()
     name, end = _read_quoted(line, pos)
     rest = line[end:].lstrip()
     if rest:
@@ -757,6 +759,7 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
     module = IrModule(name=name, source_file_default=source_name)
     seen_names: dict[str, int] = {}
     instr_lines: dict[tuple[str, str, int], int] = {}
+    parsed: dict[str, Instruction] = {}
 
     while True:
         item = p.next_line()
@@ -777,7 +780,7 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
                     f"duplicate function name '{f.mangled_name}'", lineno
                 )
             seen_names[f.mangled_name] = lineno
-            _parse_body(p, f, instr_lines, lineno)
+            _parse_body(p, f, instr_lines, parsed, lineno)
             if is_empty_body(f):
                 f.attrs.add("empty_body")
             module.functions.append(f)
@@ -796,9 +799,10 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
         else:
             raise IrParseError(f"unexpected top-level line '{line}'", lineno)
 
-    _check_references(module, instr_lines)
     violations = validate(module)
     if violations:
+        # Raises first if one of them is an undefined name or label.
+        _check_references(module, instr_lines)
         raise IrValidationError(violations)
     return module
 
@@ -807,6 +811,7 @@ def _parse_body(
     p: _Parser,
     f: IrFunction,
     instr_lines: dict[tuple[str, str, int], int],
+    parsed: dict[str, Instruction],
     header_line: int,
 ) -> None:
     item = p.next_line()
@@ -835,7 +840,10 @@ def _parse_body(
             continue
         if current is None:
             raise IrParseError("instruction before first block label", lineno)
-        ins = parse_instruction(line, lineno)
+        # Instructions are immutable, so equal lines share one parse.
+        ins = parsed.get(line)
+        if ins is None:
+            ins = parsed[line] = parse_instruction(line, lineno)
         instr_lines[(f.mangled_name, current.label, len(current.instructions))] = lineno
         current.instructions.append(ins)
 
@@ -844,7 +852,8 @@ def _check_references(
     module: IrModule, instr_lines: dict[tuple[str, str, int], int]
 ) -> None:
     # Undefined call targets and branch labels are reported with the
-    # source line of the offending instruction.
+    # source line of the offending instruction.  validate reports the
+    # same ones, so this walk runs only after it has found a violation.
     names = {f.mangled_name for f in module.functions}
     for f in module.functions:
         labels = f.labels()

@@ -10,6 +10,8 @@ present in a callee travels with its body into the caller.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -102,12 +104,9 @@ def _recursive_functions(graph: dict[str, set[str]]) -> set[str]:
     return out
 
 
-def _used_registers(f: IrFunction) -> set[int]:
-    used: set[int] = set()
-    for b in f.blocks:
-        for ins in b.instructions:
-            used.update(_register_operands(ins))
-    return used
+def _register_counts(runs: Iterable[list[Instruction]]) -> Counter:
+    """How often each register occurs as an operand in the runs."""
+    return Counter(r for run in runs for ins in run for r in _register_operands(ins))
 
 
 class _Inliner:
@@ -127,6 +126,12 @@ class _Inliner:
             if not f.is_extern
         }
         self.fresh = 0
+        # Register operand counts per function, updated at every expanded
+        # site: a register is in use while its count is positive.
+        self.registers = {
+            f.mangled_name: _register_counts(b.instructions for b in f.blocks)
+            for f in module.functions
+        }
 
     def ineligible_reason(self, callee_name: str) -> str | None:
         callee = self.functions.get(callee_name)
@@ -210,10 +215,10 @@ class _Inliner:
     def register_map(
         self, caller: IrFunction, callee: IrFunction
     ) -> dict[int, int] | None:
-        callee_regs = sorted(_used_registers(callee))
+        callee_regs = sorted(self.registers[callee.mangled_name])
         if not callee_regs:
             return {}
-        used = _used_registers(caller)
+        used = self.registers[caller.mangled_name]
         free = [r for r in range(NUM_REGISTERS) if r not in used]
         if len(free) < len(callee_regs):
             return None
@@ -267,8 +272,10 @@ class _Inliner:
             # The returned register, if any, lands in the caller's r0.
             returned = _register_operands(body[-1])
             tail = [Instruction("addi", (0, rmap[r], 0)) for r in returned]
-            block.instructions[ii : ii + 1] = init + spliced + tail
-            return len(init) + len(spliced) + len(tail)
+            inserted = init + spliced + tail
+            block.instructions[ii : ii + 1] = inserted
+            self.recount(caller, call, [inserted])
+            return len(inserted)
 
         prefix = self.fresh_prefix(caller, callee)
         lmap = {b.label: f"{prefix}_{b.label}" for b in callee.blocks}
@@ -286,11 +293,20 @@ class _Inliner:
                     nb.instructions.append(ins)
             new_blocks.append(nb)
         cont = BasicBlock(cont_label, block.instructions[ii + 1 :])
-        block.instructions = block.instructions[:ii] + init + [
-            Instruction("jmp", (lmap[callee.blocks[0].label],))
-        ]
+        head = init + [Instruction("jmp", (lmap[callee.blocks[0].label],))]
+        block.instructions = block.instructions[:ii] + head
         caller.blocks[bi + 1 : bi + 1] = new_blocks + [cont]
+        self.recount(caller, call, [head] + [nb.instructions for nb in new_blocks])
         return -1
+
+    def recount(
+        self, caller: IrFunction, call: Instruction, inserted: list[list[Instruction]]
+    ) -> None:
+        """Count the instructions that replaced ``call`` in ``caller``."""
+        counts = self.registers[caller.mangled_name]
+        counts += _register_counts(inserted)
+        # In-place subtraction drops the registers no longer used.
+        counts -= Counter(_register_operands(call))
 
 
 def inline_pass(m: IrModule, level: OptLevel) -> tuple[IrModule, InlineReport]:

@@ -220,6 +220,48 @@ def test_header_error_position(text, line, col, message):
     assert str(exc.value) == f"line {line}, col {col}: {message}"
 
 
+_SPACED = (
+    'module "m"\n'
+    'func @f pretty="f()" file="a.c" lines=1:2 attrs=builtin' + _BODY
+)
+
+
+@pytest.mark.parametrize(
+    "module_line, header",
+    [
+        ('module\t"m"',
+         'func\t@f\tpretty="f()"\tfile="a.c"\tlines=1:2\tattrs=builtin'),
+        ('module \t "m"',
+         'func @f \t pretty="f()"  file="a.c"\t lines=1:2 attrs=builtin'),
+        ('\tmodule\t"m"\t',
+         '\tfunc@f\tpretty="f()"file="a.c"\t\tlines=1:2\tattrs=builtin\t'),
+    ],
+)
+def test_header_tabs_parse_like_spaces(module_line, header):
+    assert parse_module(module_line + "\n" + header + _BODY) == parse_module(_SPACED)
+
+
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        (_func('func\t@9f\tfile="a.c"\tlines=1:2'), 7, "bad function name '9f'"),
+        (_func('func\t@f\tfile="a.c"\tlines=1'), 26, "lines= needs <a>:<b>"),
+        (_func('func\t@f\tfile="a.c"\tlines=1:2\tjunk'), 30,
+         "unexpected token 'junk' in func header"),
+        (_func("func\t@f"), 1, "func header needs file= and lines="),
+    ],
+)
+def test_tabbed_header_error_position(text, col, message):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(text)
+    assert str(exc.value) == f"line 2, col {col}: {message}"
+
+
+def test_instruction_lines_take_no_tab_after_the_mnemonic():
+    with pytest.raises(IrParseError, match="unknown instruction 'ret\\tr0'"):
+        parse_module('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\tr0\n}\n')
+
+
 class TestPrint:
     def test_empty_module_exact(self):
         assert print_module(IrModule(name="m")) == 'module "m"\n'
