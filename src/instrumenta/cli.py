@@ -125,7 +125,8 @@ def _cmd_run(args) -> int:
     if args.trace:
         Path(args.trace).write_text(write_trace(result.events), encoding="utf-8")
     status = "uncaught-exception" if result.uncaught else str(result.exit_value)
-    enters = result.events.enter_counts().total()
+    # execute returns only balanced traces: one X record for every E.
+    enters = (len(result.events) - len(result.events.definitions)) // 2
     print(f"exit: {status}")
     print(f"ticks: {result.total_ticks}")
     print(f"events: {len(result.events)} ({enters} enters)")

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from operator import eq
+from itertools import islice
+from operator import eq, getitem, le
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
@@ -297,20 +298,88 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
         raise TraceError(f"line {lineno}: malformed {kind} record") from None
 
 
+# read_trace decodes the text in chunks of about this many characters, each
+# cut just after a line break, so its transient memory stays small.
+_CHUNK_CHARS = 1 << 16
+_DELETE_EX_DIGITS = str.maketrans("", "", "EX0123456789")
+
+
 def read_trace(text: str) -> Trace:
     """Parse and validate a trace.
 
     Rejects malformed lines, enter/exit for handles without a prior
     definition, decreasing timestamps, and any nesting violation (an
     exit must match the innermost open enter; everything opened must be
-    closed by the end).
+    closed by the end).  Chunks of canonical E/X lines are decoded as
+    columns; the line loop decides every other chunk and words every error.
     """
     trace = Trace()
-    codes, stamps = trace.codes, trace.stamps
     known: set[int] = set()
+    by_kind: dict[str, dict[str, int]] = {"E": {}, "X": {}}  # handle as written -> code
     stack: list[int] = []
-    last_ts = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    last_ts = lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        chunk, start = text[start:end], end
+        lines = _read_columns(chunk, trace, by_kind, stack, last_ts)
+        if lines:
+            last_ts, lineno = trace.stamps[-1], lineno + lines
+        else:
+            last_ts, lineno = _read_lines(chunk, trace, known, stack, last_ts, lineno)
+    if stack:
+        raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
+    return trace
+
+
+def _read_columns(
+    chunk: str, trace: Trace, by_kind: dict[str, dict[str, int]], stack: list[int], last_ts: int
+) -> int:
+    """Append a chunk of canonical ``[EX] <digits> <digits>\\n`` lines as columns
+    and return its line count; return 0, leaving trace and stack as they were,
+    if any check fails."""
+    n = chunk.count("\n")
+    if '"' in chunk or chunk.count(" ") != 2 * n:  # cheap refusals before the translate
+        return 0
+    if chunk.translate(_DELETE_EX_DIGITS) != "  \n" * n:
+        return 0
+    fields = chunk.split()  # n lines of three fields, none empty if there are 3n
+    if len(fields) != 3 * n:
+        return 0
+    enter, exit_ = by_kind["E"], by_kind["X"]
+    for ev in trace.definitions[len(enter):]:
+        enter[str(ev.handle)] = ev.handle
+        exit_[str(ev.handle)] = -ev.handle
+    try:
+        stamps = list(map(int, fields[1::3]))
+        codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
+    except (KeyError, ValueError):  # a kind or handle not as written, or undefined
+        return 0
+    if stamps[0] < last_ts or not all(map(le, stamps, islice(stamps, 1, None))):
+        return 0
+    saved = stack[:]
+    push, pop = stack.append, stack.pop
+    try:
+        for code in codes:
+            if code > 0:
+                push(code)
+            elif pop() != -code:
+                raise IndexError
+    except IndexError:
+        stack[:] = saved
+        return 0
+    trace.codes += codes
+    trace.stamps += stamps
+    return n
+
+
+def _read_lines(
+    chunk: str, trace: Trace, known: set[int], stack: list[int], last_ts: int, done: int
+) -> tuple[int, int]:
+    """Read a chunk line by line after the text's first ``done`` lines;
+    returns the new last timestamp and line count."""
+    codes, stamps = trace.codes, trace.stamps
+    lines = chunk.splitlines()
+    for lineno, line in enumerate(lines, start=done + 1):
         # Fast path: an E/X record as written, three single-space-separated
         # fields.  When int() accepts both numbers, the scanner would have
         # produced the same fields (int() ignores only whitespace that
@@ -346,6 +415,4 @@ def read_trace(text: str) -> Trace:
             stack.pop()
             codes.append(-handle)
         stamps.append(ts)
-    if stack:
-        raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
-    return trace
+    return last_ts, done + len(lines)

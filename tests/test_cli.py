@@ -4,6 +4,7 @@ from conftest import CORPUS_DIR
 from instrumenta.cli import main
 from instrumenta.filters import parse_filter
 from instrumenta.ir import parse_module
+from instrumenta.runtime import read_trace
 
 LISTING1 = CORPUS_DIR / "listing1.ir"
 
@@ -141,6 +142,32 @@ class TestRunReport:
         run_cli("run", out, "--trace", t1)
         run_cli("run", out, "--trace", t2)
         assert t1.read_bytes() == t2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "source, runtime_filter, expected",
+        [
+            (LISTING1, "EXCLUDE func*", "events: 3 (1 enters)"),
+            (CORPUS_DIR / "throw_uncaught.ir", None, "events: 6 (2 enters)"),
+        ],
+    )
+    def test_events_line_counts_enter_records(
+        self, tmp_path, capsys, source, runtime_filter, expected
+    ):
+        out = tmp_path / "out.ir"
+        run_cli("instrument", source, "-o", out, "--mode", "plugin", "-O0")
+        trc = tmp_path / "t.trc"
+        argv = ["run", out, "--trace", trc]
+        if runtime_filter:
+            flt = tmp_path / "rt.flt"
+            flt.write_text(f"REGION_NAMES_BEGIN\n{runtime_filter}\nREGION_NAMES_END\n")
+            argv += ["--runtime-filter", flt]
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert expected in lines
+        # The same count as tallying the E records of the written trace.
+        events = read_trace(trc.read_text())
+        assert expected == f"events: {len(events)} ({events.enter_counts().total()} enters)"
 
 
 class TestCompareSuggest:

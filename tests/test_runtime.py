@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 import gens
+from instrumenta import runtime
 from instrumenta.analysis import build_profile, compare_runs
 from instrumenta.filters import FilterRuleSet, parse_filter
 from instrumenta.instrument import instrument_module
@@ -488,3 +490,129 @@ class TestTraceSequence:
         )
         assert read_trace(text).enter_counts() == {2: 1, 3: 2}
         assert Trace().enter_counts() == {}
+
+
+# ---------------------------------------------------------------------------
+# read_trace decodes chunks of canonical E/X lines as columns and hands every
+# other chunk to the line loop, with its state carried over.  These cases put
+# irregular text deep inside canonical runs and move the chunk boundaries, so
+# that each meets both paths; the reference reader decides every outcome.
+
+# 1 puts a boundary after every line; 1 << 16 is read_trace's own size.
+_CHUNK_SIZES = (1, 7, 40, 256, 1 << 16)
+
+# Every line break str.splitlines() recognises besides "\n", and CRLF.
+_OTHER_BREAKS = [
+    c for c in map(chr, range(0x3000)) if c != "\n" and len(f"a{c}b".splitlines()) == 2
+] + ["\r\n"]
+
+
+def _pairs(stamp, count, handle=3):
+    """``count`` canonical enter/exit pairs of ``handle``, all at ``stamp``."""
+    return f"E {stamp} {handle}\nX {stamp} {handle}\n" * count
+
+
+def assert_same_at_chunk_sizes(monkeypatch, text, sizes=_CHUNK_SIZES):
+    expected = _outcome(reference_read_trace, text)
+    for size in sizes:
+        monkeypatch.setattr(runtime, "_CHUNK_CHARS", size)
+        assert _outcome(read_trace, text) == expected, (size, repr(text[:200]))
+    return expected
+
+
+@pytest.mark.parametrize("brk", _OTHER_BREAKS, ids=repr)
+@pytest.mark.parametrize("field", range(3))
+def test_line_breaks_in_definition_fields_match_reference(monkeypatch, brk, field):
+    strings = ["f", "f", "a.c"]
+    strings[field] = f"a{brk}b"
+    quoted = " ".join(f'"{s}"' for s in strings)
+    # The definition sits in read_trace's second chunk, after a canonical run.
+    text = (
+        'D 3 "g" "g" "b.c" 2:2\n' + _pairs(1, 3000) + f"D 2 {quoted} 1:1\n"
+        + "E 2 2\nX 2 2\n" + _pairs(3, 40)
+    )
+    expected = assert_same_at_chunk_sizes(monkeypatch, text)
+    assert expected == (TraceError, "line 6002: unterminated string")
+
+
+@pytest.mark.parametrize("line", ADVERSARIAL_LINES, ids=lambda line: line[:40])
+def test_adversarial_line_deep_in_canonical_runs_matches_reference(monkeypatch, line):
+    for suffix in _SUFFIXES:
+        text = _PREFIX + _pairs(1, 40) + line + "\n" + _pairs(9, 40)[:-1] + suffix
+        assert_same_at_chunk_sizes(monkeypatch, text, _CHUNK_SIZES[:-1])
+
+
+def test_adversarial_lines_in_second_full_size_chunk_match_reference():
+    run = _pairs(1, 3000)
+    for line in ("E 5 3\r", "E 5\x1c3", "E 5 3\u2028X 6 3", "E 5 \t3", "E 5 03",
+                 "E +5 3", 'E "5" 3', "Q 5 3", "", "  ", "E 0 3", "X 5 3", "E 5 4"):
+        for suffix in _SUFFIXES:
+            assert_same_as_reference(_PREFIX + run + line + "\n" + _pairs(9, 40)[:-1] + suffix)
+
+
+def test_crlf_and_unterminated_last_lines_match_reference(monkeypatch):
+    texts = [write_trace(gens.trace_events(random.Random(seed))) for seed in range(40)]
+    texts.append(_PREFIX + _pairs(1, 3000) + "X 9 2\n")
+    for text in texts:
+        for variant in (text, text.replace("\n", "\r\n")):
+            for cut in (0, 1, 2):
+                assert_same_at_chunk_sizes(monkeypatch, variant[: len(variant) - cut])
+
+
+def _fault_texts():
+    """(text, line number of the fault, error message) for faults whose
+    line, or whose cause, lies far from the start of the text."""
+    head = 'D 2 "f" "f" "a.c" 1:1\nD 3 "g" "g" "b.c" 2:2\nD 4 "h" "h" "c.c" 3:3\nE 1 2\n'
+    before, after = _pairs(1, 3000), _pairs(9, 3000)
+    line = 4 + 6000 + 1
+    yield head + before + "E 5 7\n" + after + "X 9 2\n", line, "unknown handle 7"
+    yield head + before + "E 0 3\n" + after + "X 9 2\n", line, "decreasing timestamp 0"
+    yield (head + before + "E 5 3\n" + after + "X 9 2\nX 9 3\n", line + 6001,
+           "exit 2 does not match innermost enter")
+    # Regions opened in the first chunk and closed in crossed order in a later one.
+    yield (head + "E 1 3\n" + _pairs(1, 6000, 4) + "X 9 2\nX 9 3\n", 4 + 1 + 12000 + 1,
+           "exit 2 does not match innermost enter")
+    # The fault is the first line of a chunk whose predecessor was decoded as columns.
+    yield head + before + "E 5 3\nX 0 3\n" + after + "X 9 2\n", line + 1, "decreasing timestamp 0"
+
+
+def test_faults_far_into_the_trace_report_their_line(monkeypatch):
+    for text, lineno, message in _fault_texts():
+        assert text.splitlines()[lineno - 1] and lineno > 6000
+        expected = assert_same_at_chunk_sizes(monkeypatch, text, (7, 256, 1 << 16))
+        assert expected[1] == f"line {lineno}: {message}"
+        # Two chunks, the first cut on each of the lines around the fault.
+        offset = sum(len(line) + 1 for line in text.split("\n")[: lineno - 1])
+        for size in range(offset - 30, offset + 30, 3):
+            monkeypatch.setattr(runtime, "_CHUNK_CHARS", size)
+            assert _outcome(read_trace, text) == expected
+
+
+def test_region_left_open_in_an_early_chunk_is_unbalanced(monkeypatch):
+    text = 'D 2 "f" "f" "a.c" 1:1\nD 3 "g" "g" "b.c" 2:2\nE 1 2\n' + _pairs(1, 6000)
+    expected = assert_same_at_chunk_sizes(monkeypatch, text)
+    assert expected == (UnbalancedExitError, "trace ends with 1 open region(s)")
+
+
+@pytest.mark.parametrize("spelling", ["02", "+2", "0_2", "002"])
+def test_handle_spellings_read_like_the_canonical_one(monkeypatch, spelling):
+    head = 'D 2 "f" "f" "a.c" 1:1\n'
+    canonical = head + _pairs(1, 3000, 2) + "E 5 2\nX 6 2\n" + _pairs(7, 40, 2)
+    text = head + _pairs(1, 3000, 2) + f"E 5 {spelling}\nX 6 {spelling}\n" + _pairs(7, 40, 2)
+    assert assert_same_at_chunk_sizes(monkeypatch, text) == read_trace(canonical)
+
+
+def test_transient_memory_stays_below_the_text_size():
+    # About 200k E/X records in the shape of a hot leaf under main.
+    text = 'D 2 "main" "main" "a.c" 1:9\nE 0 2\nD 3 "leaf" "leaf" "a.c" 2:3\n' + "".join(
+        f"E {t} 3\nX {t + 22} 3\n" for t in range(10, 5_400_000, 54)
+    ) + "X 5400000 2\n"
+    assert len(text) > 2_000_000
+    tracemalloc.start()
+    try:
+        trace = read_trace(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 2 + 2 + 2 * len(range(10, 5_400_000, 54))
+    assert peak - retained < len(text)
