@@ -10,7 +10,7 @@ instruments unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 from .filters import FilterRuleSet, classify
@@ -245,15 +245,7 @@ def instrument_module(
             continue
         desc = make_region_descriptor(f, next_id)
         if not desc.file and work.source_file_default:
-            desc = RegionDescriptor(
-                desc.region_id,
-                desc.name,
-                desc.canonical_name,
-                work.source_file_default,
-                desc.begin_lno,
-                desc.end_lno,
-                desc.flags,
-            )
+            desc = replace(desc, file=work.source_file_default)
         next_id += 1
         g = insert_entry_hook(f, desc.region_id)
         g = enforce_finally(g, desc.region_id, externs)

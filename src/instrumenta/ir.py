@@ -757,8 +757,10 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
     if rest:
         raise _SyntaxAt("unexpected text after module name", len(line) - len(rest))
     module = IrModule(name=name, source_file_default=source_name)
+    # Source lines by validate's where: function, block, instruction.
     seen_names: dict[str, int] = {}
-    instr_lines: dict[tuple[str, str, int], int] = {}
+    block_lines: dict[str, int] = {}
+    instr_lines: dict[tuple[str, int], int] = {}
     parsed: dict[str, Instruction] = {}
 
     while True:
@@ -780,7 +782,7 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
                     f"duplicate function name '{f.mangled_name}'", lineno
                 )
             seen_names[f.mangled_name] = lineno
-            _parse_body(p, f, instr_lines, parsed, lineno)
+            _parse_body(p, f, block_lines, instr_lines, parsed, lineno)
             if is_empty_body(f):
                 f.attrs.add("empty_body")
             module.functions.append(f)
@@ -801,8 +803,13 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
 
     violations = validate(module)
     if violations:
-        # Raises first if one of them is an undefined name or label.
-        _check_references(module, instr_lines)
+        # validate judges structure; the parser only names the source line
+        # of its first violation.  Region violations have none.
+        v = violations[0]
+        lines = {**seen_names, **block_lines}
+        lines.update((f"{where}[{i}]", n) for (where, i), n in instr_lines.items())
+        if v.where in lines:
+            raise IrParseError(str(v), lines[v.where])
         raise IrValidationError(violations)
     return module
 
@@ -810,7 +817,8 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
 def _parse_body(
     p: _Parser,
     f: IrFunction,
-    instr_lines: dict[tuple[str, str, int], int],
+    block_lines: dict[str, int],
+    instr_lines: dict[tuple[str, int], int],
     parsed: dict[str, Instruction],
     header_line: int,
 ) -> None:
@@ -818,7 +826,6 @@ def _parse_body(
     if item is None or item[1] != "{":
         raise IrParseError("expected '{' after func header", header_line)
     current: BasicBlock | None = None
-    labels: set[str] = set()
     while True:
         item = p.next_line()
         if item is None:
@@ -832,9 +839,10 @@ def _parse_body(
             label = line[1:-1]
             if not _LABEL_RE.match(label):
                 raise IrParseError(f"bad block label '{label}'", lineno)
-            if label in labels:
+            where = f"{f.mangled_name}/^{label}"
+            if where in block_lines:
                 raise IrParseError(f"duplicate block label '{label}'", lineno)
-            labels.add(label)
+            block_lines[where] = lineno
             current = BasicBlock(label)
             f.blocks.append(current)
             continue
@@ -844,27 +852,6 @@ def _parse_body(
         ins = parsed.get(line)
         if ins is None:
             ins = parsed[line] = parse_instruction(line, lineno)
-        instr_lines[(f.mangled_name, current.label, len(current.instructions))] = lineno
+        instr_lines[(where, len(current.instructions))] = lineno
         current.instructions.append(ins)
 
-
-def _check_references(
-    module: IrModule, instr_lines: dict[tuple[str, str, int], int]
-) -> None:
-    # Undefined call targets and branch labels are reported with the
-    # source line of the offending instruction.  validate reports the
-    # same ones, so this walk runs only after it has found a violation.
-    names = {f.mangled_name for f in module.functions}
-    for f in module.functions:
-        labels = f.labels()
-        for b in f.blocks:
-            for i, ins in enumerate(b.instructions):
-                lineno = instr_lines.get((f.mangled_name, b.label, i), 1)
-                target = ins.call_target()
-                if target is not None and target not in names:
-                    raise IrParseError(
-                        f"undefined call target '@{target}'", lineno
-                    )
-                for label in ins.branch_labels():
-                    if label not in labels:
-                        raise IrParseError(f"undefined label '^{label}'", lineno)

@@ -26,7 +26,6 @@ from .ir import (
 )
 
 INLINE_THRESHOLDS = {"O0": 0, "O1": 4, "O2": 16, "O3": 64}
-LEVELS = ("O0", "O1", "O2", "O3")
 
 MAX_ROUNDS = 10
 

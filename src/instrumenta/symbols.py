@@ -9,8 +9,6 @@ function total and idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _PARAM_CODES = {
     "v": "void",
     "i": "int",
@@ -19,23 +17,6 @@ _PARAM_CODES = {
     "d": "double",
     "b": "bool",
 }
-
-
-@dataclass(frozen=True)
-class SymbolName:
-    """A mangled name paired with its human-readable form.
-
-    When ``mangled`` is outside the supported subset the pretty form
-    equals the mangled form; ``is_mangled(pretty)`` then still holds,
-    which is the marker for an untranslated (raw) name.
-    """
-
-    mangled: str
-    pretty: str
-
-    @classmethod
-    def resolve(cls, mangled: str) -> "SymbolName":
-        return cls(mangled, demangle(mangled))
 
 
 def is_mangled(name: str) -> bool:

@@ -165,10 +165,8 @@ def _lower(m: IrModule, costs: CostModel) -> dict[str, list[list[tuple]]]:
                         eff = (_JMP, label_idx[args[0]])
                     elif op == "ret":
                         eff = (_RET, args[0] if args else None)
-                    elif op in ("throw", "rethrow"):
+                    else:  # throw, rethrow
                         eff = (_THROW,)
-                    else:
-                        raise VmError(f"cannot lower op '{op}'")
                 lowered.append((eff[0], steps, ticks, tuple(updates), *eff[1:]))
                 steps = ticks = 0
                 updates = []

@@ -62,6 +62,28 @@ class TestInstrument:
         bad.write_text('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  jmp ^gone\n}\n')
         assert run_cli("instrument", bad, "-o", out_ir, "--mode", "plugin", "-O0") == 2
 
+    @pytest.mark.parametrize("command", ["instrument", "run"])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("^e:\n  li r0, 1\n", "line 4, col 1: missing-terminator at main/^e"),
+            ("^e:\n  li r0, 1\n  hook.enter 4\n  ret\n",
+             "line 6, col 1: unknown-region at main/^e[1]"),
+            ("^e:\n  call @zz\n  ret\n",
+             "line 5, col 1: undefined-call-target at main/^e[0]"),
+        ],
+        ids=["missing-terminator", "unknown-region", "undefined-call-target"],
+    )
+    def test_invalid_module_names_its_line(
+        self, tmp_path, out_ir, capsys, command, body, message
+    ):
+        bad = tmp_path / "bad.ir"
+        bad.write_text(f'module "m"\nfunc @main file="a.c" lines=1:2\n{{\n{body}}}\n')
+        argv = ["-o", out_ir, "--mode", "plugin", "-O0"] if command == "instrument" else []
+        assert run_cli(command, bad, *argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+        assert not out_ir.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.ir", tmp_path / "b.ir"
         for out in (a, b):

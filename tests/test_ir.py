@@ -262,6 +262,84 @@ def test_instruction_lines_take_no_tab_after_the_mnemonic():
         parse_module('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\tr0\n}\n')
 
 
+# A valid function, a comment and a blank line, then the function under
+# test, whose header is line 9 of the text.
+_BEFORE = (
+    'module "m"\nfunc @ok file="a.c" lines=1:2\n{\n^e:\n  ret\n}\n'
+    "; the next function is the one checked\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "func, line, violation",
+    [
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n  jmp ^f\n^f:\n  li r0, 1\n}\n',
+         13, "missing-terminator at main/^f: block does not end in terminator"),
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n^f:\n  ret\n}\n',
+         11, "missing-terminator at main/^e: block is empty"),
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n  li r0, 1\n  ret\n  ret\n}\n',
+         13, "terminator-mid-block at main/^e[1]: 'ret' before end of block"),
+        ('func @main file="a.c" lines=1:2\n{\n}\n',
+         9, "no-blocks at main: function has no blocks"),
+        ('func @main file="a.c" lines=0:2\n{\n^e:\n  ret\n}\n',
+         9, "bad-line at main: begin line not positive"),
+        ('func @main file="a.c" lines=3:2\n{\n^e:\n  ret\n}\n',
+         9, "line-range at main: begin line after end line"),
+        ('func @main file="a.c" lines=1:2 attrs=empty_body\n{\n^e:\n  li r0, 1\n  ret\n}\n',
+         9, "empty-body-attr at main: empty_body attribute inconsistent with body shape"),
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n  li r0, 1\n  hook.enter 4\n  ret\n}\n',
+         13, "unknown-region at main/^e[1]: region 4 not in table"),
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n  jmp ^f\n^f:\n  jnz r0, ^e, ^zz\n}\n',
+         14, "undefined-label at main/^f[0]: ^zz not defined"),
+        ('func @main file="a.c" lines=1:2\n{\n^e:\n  li r0, 1\n  call @zz, r0\n  ret\n}\n',
+         13, "undefined-call-target at main/^e[1]: @zz not defined"),
+    ],
+    ids=[
+        "missing-terminator", "empty-block", "terminator-mid-block", "no-blocks",
+        "bad-line", "line-range", "empty-body-attr", "unknown-region",
+        "undefined-label", "undefined-call-target",
+    ],
+)
+def test_validate_violation_names_its_source_line(func, line, violation):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(_BEFORE + func)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}, col 1: {violation}"
+
+
+_TWO_DEFECTS = """\
+module "m"
+
+func @a file="a.c" lines=1:2
+{
+^e:
+  li r0, 1
+}
+func @main file="a.c" lines=3:4
+{
+^e:
+  li r0, 1
+  jmp ^zz
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line, violation",
+    [
+        # validate lists a's block before main's instruction.
+        (_TWO_DEFECTS, 5, "missing-terminator at a/^e: block does not end in terminator"),
+        # With a ended, main's undefined label is the first violation.
+        (_TWO_DEFECTS.replace("li r0, 1\n}", "ret\n}", 1), 12,
+         "undefined-label at main/^e[1]: ^zz not defined"),
+    ],
+)
+def test_first_violation_in_validate_order_is_reported(text, line, violation):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(text)
+    assert str(exc.value) == f"line {line}, col 1: {violation}"
+
+
 class TestPrint:
     def test_empty_module_exact(self):
         assert print_module(IrModule(name="m")) == 'module "m"\n'

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from instrumenta.symbols import SymbolName, demangle, is_mangled
+from instrumenta.symbols import demangle, is_mangled
 
 # Expected forms confirmed against a standard Itanium-ABI demangler
 # (c++filt) before being frozen here.
@@ -53,12 +53,6 @@ def test_is_mangled():
     assert not is_mangled("func")
     assert not is_mangled("")
     assert not is_mangled("Z4funci")
-
-
-def test_symbol_name_resolve():
-    s = SymbolName.resolve("_Z4funci")
-    assert s == SymbolName("_Z4funci", "func(int)")
-    assert SymbolName.resolve("main").pretty == "main"
 
 
 def test_idempotence_property():
