@@ -654,6 +654,7 @@ def _parse_func_header(line: str) -> IrFunction:
     file: str | None = None
     begin = end = None
     attrs: set[str] = set()
+    keys: set[str] = set()
     while pos < len(line):
         if line[pos] in " \t":
             pos += 1
@@ -664,6 +665,9 @@ def _parse_func_header(line: str) -> IrFunction:
                 f"unexpected token '{line[pos:].split()[0]}' in func header", pos
             )
         key = mo.group(1)
+        if key in keys:
+            raise _SyntaxAt(f"repeated key '{key}=' in func header", pos)
+        keys.add(key)
         pos = mo.end()
         if key == "pretty":
             pretty, pos = _read_quoted(line, pos)

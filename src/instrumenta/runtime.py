@@ -198,6 +198,11 @@ class Monitor:
 #   X <timestamp> <handle>
 
 
+# write_trace joins this many records at a time, then joins the blocks:
+# one list of parts for the whole trace holds several times its text.
+_WRITE_BLOCK = 8192
+
+
 def write_trace(events: Iterable[TraceEvent]) -> str:
     trace = Trace.of(events)
     definitions = trace.definitions
@@ -207,23 +212,27 @@ def write_trace(events: Iterable[TraceEvent]) -> str:
         for code in set(trace.codes)
         if code
     }
-    parts: list[str] = []
-    append = parts.append
-    for code, stamp in zip(trace.codes, trace.stamps):
-        if code:
-            before, after = labels[code]
-            append(before)
-            append(str(stamp))
-            append(after)
-        else:
-            ev = definitions[stamp]
-            d = ev.descriptor
-            assert d is not None
-            append(
-                f"D {ev.handle} {_quote(d.name)} {_quote(d.canonical_name)}"
-                f" {_quote(d.file)} {d.begin_lno}:{d.end_lno}\n"
-            )
-    return "".join(parts)
+    records = zip(trace.codes, trace.stamps)
+    texts: list[str] = []
+    for _ in range(0, len(trace), _WRITE_BLOCK):
+        parts: list[str] = []
+        append = parts.append
+        for code, stamp in islice(records, _WRITE_BLOCK):
+            if code:
+                before, after = labels[code]
+                append(before)
+                append(str(stamp))
+                append(after)
+            else:
+                ev = definitions[stamp]
+                d = ev.descriptor
+                assert d is not None
+                append(
+                    f"D {ev.handle} {_quote(d.name)} {_quote(d.canonical_name)}"
+                    f" {_quote(d.file)} {d.begin_lno}:{d.end_lno}\n"
+                )
+        texts.append("".join(parts))
+    return "".join(texts)
 
 
 def _split_trace_line(line: str, lineno: int) -> list[str]:

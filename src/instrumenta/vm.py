@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .filters import FilterRuleSet
-from .ir import IrModule, IrValidationError, validate
+from .ir import HOOK_OPS, IrFunction, IrModule, IrValidationError, validate
 from .runtime import FILTERED_REGION, Monitor, Trace, TraceError, UnbalancedExitError
 
 DEFAULT_STEP_LIMIT = 10**8
@@ -82,6 +82,11 @@ class ExecutionResult:
 # ``hook.register r; hook.enter r`` and ``hook.exit r; ret`` lower to
 # one op each; the steps of a fused ret are checked on their own, so a
 # run stopped by the step limit fails exactly as it would unfused.
+#
+# The hooks of a region that is registered and filtered are pure too:
+# they cannot fail, and they cost a fixed hook_guard (an enter or exit)
+# or nothing (a register).  Such a region's functions are lowered again
+# when its first registration returns FILTERED_REGION.
 _JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _THROW, _HEXIT, _HEXITRET, _RET = range(10)
 _ZERO = 16
 
@@ -90,98 +95,112 @@ def _wrap(v: int) -> int:
     return ((v + _I64_BIAS) & _I64_MASK) - _I64_BIAS
 
 
-def _lower(m: IrModule, costs: CostModel) -> dict[str, list[list[tuple]]]:
-    """Fold pure runs, resolve labels to block indices and call targets
-    to code lists."""
-    code: dict[str, list[list[tuple]]] = {
-        f.mangled_name: [] for f in m.functions if not f.is_extern
-    }
-    externs = {f.mangled_name for f in m.functions if f.is_extern}
+def _lower_function(
+    f: IrFunction,
+    m: IrModule,
+    code: dict[str, list[list[tuple]]],
+    costs: CostModel,
+    filtered: set[int],
+) -> list[list[tuple]]:
+    """Fold pure runs of one function, with the hooks of the regions in
+    ``filtered`` among them; resolve labels to block indices, call
+    targets to code lists and a call's resume point to a block object."""
+    label_idx = {b.label: i for i, b in enumerate(f.blocks)}
+    blocks: list[list[tuple]] = [[] for _ in f.blocks]
     base = costs.base_instruction
-    for f in m.functions:
-        if f.is_extern:
-            continue
-        label_idx = {b.label: i for i, b in enumerate(f.blocks)}
-        blocks = code[f.mangled_name]
-        for b in f.blocks:
-            lowered: list[tuple] = []
-            steps = ticks = 0
-            updates: list[tuple] = []
-            instrs = b.instructions
-            i = 0
-            while i < len(instrs):
-                ins = instrs[i]
-                op, args = ins.op, ins.args
-                i += 1
-                steps += 1
-                if op == "addi":
-                    updates.append((args[0], args[1], _ZERO, args[2]))
-                    ticks += base
-                    continue
-                if op == "li":
-                    updates.append((args[0], _ZERO, _ZERO, _wrap(args[1])))
-                    ticks += base
-                    continue
-                if op == "add":
-                    updates.append((*args, 0))
-                    ticks += base
-                    continue
-                if op == "work":
-                    ticks += args[0]
-                    continue
-                nxt = instrs[i] if i < len(instrs) else None
-                if op == "call" or op == "call.try":
-                    if args[0] in externs:
-                        ticks += costs.extern_call
-                        if op == "call":
-                            continue
-                        eff = (_JMP, label_idx[args[-2]])
-                    else:
-                        ticks += base
-                        # (resume_blk, resume_ip, unwind_blk) for the frame.
-                        if op == "call":
-                            resume = (len(blocks), len(lowered) + 1, None)
-                        else:
-                            resume = (label_idx[args[-2]], 0, label_idx[args[-1]])
-                        eff = (_CALL, code[args[0]], ins.call_arg_regs(), *resume)
-                elif op == "hook.register":
-                    eff = (_HREG, args[0], m.regions[args[0]])
-                    if nxt is not None and nxt.op == "hook.enter" and nxt.args == args:
-                        eff = (_HREGENTER, *eff[1:])
-                        steps += 1
-                        i += 1
-                elif op == "hook.enter":
-                    eff = (_HENTER, args[0])
-                elif op == "hook.exit":
-                    eff = (_HEXIT, args[0])
-                    if nxt is not None and nxt.op == "ret":
-                        eff = (_HEXITRET, args[0], nxt.args[0] if nxt.args else None)
-                        i += 1  # the ret's step and tick are charged when it runs
+    guard = costs.hook_guard
+    for lowered, b in zip(blocks, f.blocks):
+        steps = ticks = 0
+        updates: list[tuple] = []
+        instrs = b.instructions
+        i = 0
+        while i < len(instrs):
+            ins = instrs[i]
+            op, args = ins.op, ins.args
+            i += 1
+            steps += 1
+            if op == "addi":
+                updates.append((args[0], args[1], _ZERO, args[2]))
+                ticks += base
+                continue
+            if op == "li":
+                updates.append((args[0], _ZERO, _ZERO, _wrap(args[1])))
+                ticks += base
+                continue
+            if op == "add":
+                updates.append((*args, 0))
+                ticks += base
+                continue
+            if op == "work":
+                ticks += args[0]
+                continue
+            if op in HOOK_OPS and args[0] in filtered:
+                if op != "hook.register":
+                    ticks += guard
+                continue
+            nxt = instrs[i] if i < len(instrs) else None
+            if op == "call" or op == "call.try":
+                if args[0] not in code:  # an extern
+                    ticks += costs.extern_call
+                    if op == "call":
+                        continue
+                    eff = (_JMP, label_idx[args[-2]])
                 else:
                     ticks += base
-                    if op == "jnz":
-                        eff = (_JNZ, args[0], label_idx[args[1]], label_idx[args[2]])
-                    elif op == "jmp":
-                        eff = (_JMP, label_idx[args[0]])
-                    elif op == "ret":
-                        eff = (_RET, args[0] if args else None)
-                    else:  # throw, rethrow
-                        eff = (_THROW,)
-                lowered.append((eff[0], steps, ticks, tuple(updates), *eff[1:]))
-                steps = ticks = 0
-                updates = []
-            blocks.append(lowered)
-        # Thread each jmp into the first op of its target when that op
-        # leaves its block (or resumes at a fixed place): the jmp and
-        # its run cannot fail, so one check at the sum of their steps is
-        # the target op's own check.
-        for lowered in blocks:
-            jmp = lowered[-1]
-            if jmp[0] == _JMP:
-                to = blocks[jmp[4]][0]
-                if to[0] not in (_HREG, _HREGENTER, _HENTER, _HEXIT):
-                    lowered[-1] = (to[0], jmp[1] + to[1], jmp[2] + to[2], jmp[3] + to[3], *to[4:])
-    return code
+                    # (resume_block, resume_ip, unwind_blk) for the frame.
+                    if op == "call":
+                        resume = (lowered, len(lowered) + 1, None)
+                    else:
+                        resume = (blocks[label_idx[args[-2]]], 0, label_idx[args[-1]])
+                    eff = (_CALL, code[args[0]], ins.call_arg_regs(), *resume)
+            elif op == "hook.register":
+                eff = (_HREG, args[0], m.regions[args[0]])
+                if nxt is not None and nxt.op == "hook.enter" and nxt.args == args:
+                    eff = (_HREGENTER, *eff[1:])
+                    steps += 1
+                    i += 1
+            elif op == "hook.enter":
+                eff = (_HENTER, args[0])
+            elif op == "hook.exit":
+                eff = (_HEXIT, args[0])
+                if nxt is not None and nxt.op == "ret":
+                    eff = (_HEXITRET, args[0], nxt.args[0] if nxt.args else None)
+                    i += 1  # the ret's step and tick are charged when it runs
+            else:
+                ticks += base
+                if op == "jnz":
+                    eff = (_JNZ, args[0], label_idx[args[1]], label_idx[args[2]])
+                elif op == "jmp":
+                    eff = (_JMP, label_idx[args[0]])
+                elif op == "ret":
+                    eff = (_RET, args[0] if args else None)
+                else:  # throw, rethrow
+                    eff = (_THROW,)
+            lowered.append((eff[0], steps, ticks, tuple(updates), *eff[1:]))
+            steps = ticks = 0
+            updates = []
+    # Thread each jmp into the first op of its target when that op
+    # leaves its block (or resumes at a fixed place): the jmp and its
+    # run cannot fail, so one check at the sum of their steps is the
+    # target op's own check.
+    for lowered in blocks:
+        jmp = lowered[-1]
+        if jmp[0] == _JMP:
+            to = blocks[jmp[4]][0]
+            if to[0] not in (_HREG, _HREGENTER, _HENTER, _HEXIT):
+                lowered[-1] = (to[0], jmp[1] + to[1], jmp[2] + to[2], jmp[3] + to[3], *to[4:])
+    return blocks
+
+
+def _hook_holders(m: IrModule) -> dict[int, list[IrFunction]]:
+    """Region id -> the functions that hold its hooks.  Inlining can
+    copy a region's hooks into callers, so there may be several."""
+    holders: dict[int, list[IrFunction]] = {}
+    for f in m.functions:
+        rids = {ins.args[0] for b in f.blocks for ins in b.instructions if ins.is_hook}
+        for rid in rids:
+            holders.setdefault(rid, []).append(f)
+    return holders
 
 
 def execute(
@@ -206,7 +225,12 @@ def execute(
 
     costs = costs if costs is not None else CostModel()
     monitor = Monitor(runtime_rules)
-    code = _lower(m, costs)
+    defined = [f for f in m.functions if not f.is_extern]
+    code: dict[str, list[list[tuple]]] = {f.mangled_name: [] for f in defined}
+    filtered: set[int] = set()
+    for f in defined:
+        code[f.mangled_name][:] = _lower_function(f, m, code, costs, filtered)
+    holders: dict[int, list[IrFunction]] | None = None  # built at the first patch
 
     base = costs.base_instruction
     guard = costs.hook_guard
@@ -220,18 +244,21 @@ def execute(
     stamps = monitor.events.stamps
     open_regions = monitor.shadow_stack
 
+    # The block being run is held as an object, so code that is running
+    # when a patch lands finishes in the old lowering, which is still
+    # exact; jumps and calls look up the current one.
     blocks = code[entry]
-    blk = 0
+    cur = blocks[0]
     ip = 0
     regs = [0] * 17
-    # Saved caller state: (blocks, resume_blk, resume_ip, regs, unwind_blk).
+    # Saved caller state: (blocks, resume_block, resume_ip, regs, unwind_blk).
     frames: list[tuple] = []
     ticks = 0
     steps = 0
     max_depth = 1
 
     while True:
-        ins = blocks[blk][ip]
+        ins = cur[ip]
         steps += ins[1]
         if steps > step_limit:
             raise StepLimitExceeded(over)
@@ -241,10 +268,10 @@ def execute(
             regs[dst] = v if -(2**63) <= v < 2**63 else _wrap(v)
         op = ins[0]
         if op == _JNZ:
-            blk = ins[5] if regs[ins[4]] != 0 else ins[6]
+            cur = blocks[ins[5] if regs[ins[4]] != 0 else ins[6]]
             ip = 0
         elif op == _JMP:
-            blk = ins[4]
+            cur = blocks[ins[4]]
             ip = 0
         elif op == _CALL:
             frames.append((blocks, ins[6], ins[7], regs, ins[8]))
@@ -255,13 +282,23 @@ def execute(
                 new_regs[k] = regs[a]
             blocks = ins[4]
             regs = new_regs
-            blk = 0
+            cur = blocks[0]
             ip = 0
         elif op <= _HENTER:  # _HREG, _HREGENTER, _HENTER
             handle = handle_of.get(ins[4])
             if handle is None and op != _HENTER:
                 handle = monitor.register_region(ins[5])[0]
                 ticks += reg_first
+                if handle == FILTERED_REGION:
+                    # Patch the region's hooks out of every function
+                    # that holds them, in place: call ops and frames
+                    # hold these lists, and enter or jump into the new
+                    # code from here on.
+                    filtered.add(ins[4])
+                    if holders is None:
+                        holders = _hook_holders(m)
+                    for f in holders[ins[4]]:
+                        code[f.mangled_name][:] = _lower_function(f, m, code, costs, filtered)
             if op == _HREG:
                 ip += 1
                 continue
@@ -306,14 +343,14 @@ def execute(
                 exit_value = value if value is not None else 0
                 uncaught = False
                 break
-            blocks, blk, ip, regs, _ = frames.pop()
+            blocks, cur, ip, regs, _ = frames.pop()
             if value is not None:
                 regs[0] = value
         else:
             while frames:
-                blocks, blk, ip, regs, unwind = frames.pop()
+                blocks, cur, ip, regs, unwind = frames.pop()
                 if unwind is not None:
-                    blk = unwind
+                    cur = blocks[unwind]
                     ip = 0
                     break
             else:

@@ -4,7 +4,7 @@ import pytest
 
 import gens
 from conftest import corpus_paths, load_corpus
-from instrumenta.filters import FilterRuleSet
+from instrumenta.filters import FilterRuleSet, RegionRule
 from instrumenta.instrument import instrument_module
 from instrumenta.ir import (
     BasicBlock,
@@ -19,7 +19,7 @@ from instrumenta.ir import (
     print_module,
     validate,
 )
-from instrumenta.optimizer import O0
+from instrumenta.optimizer import O0, O1, O2, O3, inline_pass
 from instrumenta.vm import execute
 
 I = Instruction.make
@@ -198,6 +198,16 @@ def _region(line):
         (_func('func f file="a.c" lines=1:2'), 2, 6, "func needs @name"),
         (_func('func @9f file="a.c" lines=1:2'), 2, 7, "bad function name '9f'"),
         (_func('func @f file="a.c"'), 2, 1, "func header needs file= and lines="),
+        (_func('func @f file="a.c" lines=1:2 file="b.c"'), 2, 30,
+         "repeated key 'file=' in func header"),
+        (_func('func @main file="a.c" lines=1:2 lines=5:9 file="b.c"'), 2, 33,
+         "repeated key 'lines=' in func header"),
+        (_func('func @f pretty="f()" file="a.c" pretty="g()" lines=1:2'), 2, 33,
+         "repeated key 'pretty=' in func header"),
+        (_func('func @f file="a.c" lines=1:2 attrs=builtin attrs=builtin'), 2, 44,
+         "repeated key 'attrs=' in func header"),
+        (_func('  func @f lines=1:2 file="a.c"\tlines=1:2'), 2, 32,
+         "repeated key 'lines=' in func header"),
         (_region('region 0 name="a\\x" canonical="b" file="c" lines=1:1 flags=0'),
          8, 17, "bad escape"),
         (_region('region 0 name="a" canonicl="b" file="c" lines=1:1 flags=0'),
@@ -338,6 +348,28 @@ def test_first_violation_in_validate_order_is_reported(text, line, violation):
     with pytest.raises(IrParseError) as exc:
         parse_module(text)
     assert str(exc.value) == f"line {line}, col 1: {violation}"
+
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_compiled_golden_variants_parse_back_byte_identically(seed):
+    """No printed module of the compile-golden seeds repeats a header key."""
+    m = gens.terminating_module(random.Random(seed))
+    victim = m.functions[len(m.functions) // 2].mangled_name
+    rules = FilterRuleSet(region_rules=(RegionRule("exclude", victim, True),))
+    variants = [m] + [
+        out
+        for level in (O0, O1, O2, O3)
+        for out in (
+            inline_pass(m, level)[0],
+            instrument_module(m, FilterRuleSet(), "auto", level)[0],
+            instrument_module(m, FilterRuleSet(), "plugin", level)[0],
+            instrument_module(m, rules, "plugin", level)[0],
+        )
+    ]
+    for v in variants:
+        text = print_module(v)
+        assert print_module(parse_module(text)) == text
 
 
 class TestPrint:

@@ -616,3 +616,85 @@ def test_transient_memory_stays_below_the_text_size():
         tracemalloc.stop()
     assert len(trace) == 2 + 2 + 2 * len(range(10, 5_400_000, 54))
     assert peak - retained < len(text)
+
+
+
+def reference_write_trace(events):
+    """``write_trace`` as it was before it joined the records block by
+    block: one list of parts for the whole trace, joined once."""
+    trace = Trace.of(events)
+    definitions = trace.definitions
+    labels = {
+        code: ("E " if code > 0 else "X ", f" {abs(code)}\n")
+        for code in set(trace.codes)
+        if code
+    }
+    parts = []
+    append = parts.append
+    for code, stamp in zip(trace.codes, trace.stamps):
+        if code:
+            before, after = labels[code]
+            append(before)
+            append(str(stamp))
+            append(after)
+        else:
+            ev = definitions[stamp]
+            d = ev.descriptor
+            append(
+                f"D {ev.handle} {runtime._quote(d.name)} {runtime._quote(d.canonical_name)}"
+                f" {runtime._quote(d.file)} {d.begin_lno}:{d.end_lno}\n"
+            )
+    return "".join(parts)
+
+
+def _trace_of_length(n):
+    """n records: a D record first and on both sides of every write block
+    boundary, the rest an enter/exit pair after pair of the last defined
+    handle."""
+    block = runtime._WRITE_BLOCK
+    defined_at = {0} | {k + d for k in range(block, n + 1, block) for d in (-1, 0)}
+    trace = Trace()
+    handle = FIRST_VALID_HANDLE - 1
+    for i in range(n):
+        if i in defined_at:
+            handle += 1
+            desc = RegionDescriptor(handle, f"f{i}()", f"_Z1fv{i}", "a b.c", i, i + 1)
+            trace._define(TraceEvent("D", 0, handle, desc))
+        else:
+            trace.codes.append(handle if i % 2 else -handle)
+            trace.stamps.append(i * 7)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, runtime._WRITE_BLOCK - 1, runtime._WRITE_BLOCK, runtime._WRITE_BLOCK + 1,
+     3 * runtime._WRITE_BLOCK],
+)
+def test_block_writer_matches_single_join_writer(n):
+    trace = _trace_of_length(n)
+    assert len(trace) == n
+    block = runtime._WRITE_BLOCK
+    for k in range(block, n, block):
+        assert trace.codes[k - 1] == trace.codes[k] == 0
+    text = write_trace(trace)
+    assert text == reference_write_trace(trace)
+    assert text.count("\n") == n
+    assert write_trace(list(trace)) == text
+
+
+def test_writer_transient_memory_stays_below_twice_the_text_size():
+    # About 200k E/X records in the shape of a hot leaf under main.
+    trace = Trace.of(
+        [TraceEvent("D", 0, 2, DESC_MAIN), TraceEvent("D", 0, 3, DESC)]
+        + [TraceEvent(k, t + d, 3) for t in range(10, 5_400_000, 54)
+           for k, d in (("E", 0), ("X", 22))]
+    )
+    tracemalloc.start()
+    try:
+        text = write_trace(trace)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak - retained < 2 * len(text)
