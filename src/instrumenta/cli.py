@@ -97,7 +97,7 @@ def _cmd_instrument(args) -> int:
                 "note: compile-time filter rules are ignored in auto mode",
                 file=sys.stderr,
             )
-    level = OptLevel.named(f"O{args.level}")
+    level = OptLevel(f"O{args.level}")
     instrumented, report, _ = instrument_module(module, rules, args.mode, level)
     Path(args.output).write_text(print_module(instrumented), encoding="utf-8")
     print(

@@ -33,22 +33,20 @@ MAX_ROUNDS = 10
 @dataclass(frozen=True)
 class OptLevel:
     level: str
-    inline_threshold: int
 
     def __post_init__(self):
         if self.level not in INLINE_THRESHOLDS:
             raise ValueError(f"unknown optimization level '{self.level}'")
 
-    @classmethod
-    def named(cls, level: str) -> "OptLevel":
-        # __post_init__ rejects an unknown level; its 0 is never used.
-        return cls(level, INLINE_THRESHOLDS.get(level, 0))
+    @property
+    def inline_threshold(self) -> int:
+        return INLINE_THRESHOLDS[self.level]
 
 
-O0 = OptLevel.named("O0")
-O1 = OptLevel.named("O1")
-O2 = OptLevel.named("O2")
-O3 = OptLevel.named("O3")
+O0 = OptLevel("O0")
+O1 = OptLevel("O1")
+O2 = OptLevel("O2")
+O3 = OptLevel("O3")
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,7 @@ class _Inliner:
         }
 
     def ineligible_reason(self, callee_name: str) -> str | None:
-        callee = self.functions.get(callee_name)
-        if callee is None:
-            return "undefined"
+        callee = self.functions[callee_name]
         if callee.is_extern:
             return "extern"
         if callee_name in self.recursive:
@@ -148,62 +144,46 @@ class _Inliner:
 
     def run(self) -> None:
         for _ in range(MAX_ROUNDS):
-            if not self.one_round():
+            changed = False
+            for f in self.module.functions:
+                if not f.is_extern:
+                    changed |= self.scan_function(f)
+            if not changed:
                 return
-
-    def one_round(self) -> bool:
-        changed = False
-        for f in self.module.functions:
-            if f.is_extern:
-                continue
-            changed |= self.scan_function(f)
-        return changed
 
     def scan_function(self, caller: IrFunction) -> bool:
         changed = False
-        bi = 0
+        bi = ii = 0
         while bi < len(caller.blocks):
             block = caller.blocks[bi]
-            ii = 0
-            while ii < len(block.instructions):
-                ins = block.instructions[ii]
-                if ins.op != "call":
-                    if ins.op == "call.try":
-                        site = InlineSite(
-                            caller.mangled_name, ins.call_target(), block.label, ii
-                        )
-                        self.note_skip(site, "exception-edge")
-                    ii += 1
-                    continue
-                target = ins.call_target()
-                site = InlineSite(caller.mangled_name, target, block.label, ii)
-                reason = self.ineligible_reason(target)
-                if reason is not None:
-                    self.note_skip(site, reason)
-                    ii += 1
-                    continue
-                callee = self.functions[target]
-                rmap = self.register_map(caller, callee)
-                if rmap is None:
-                    self.note_skip(site, "register-pressure")
-                    ii += 1
-                    continue
-                inserted = self.inline_at(caller, bi, ii, ins, callee, rmap)
-                self.report.inlined_sites.append(site)
-                changed = True
-                if inserted >= 0:
-                    # Skip the spliced body; calls copied from the callee
-                    # are picked up in the next round.
-                    ii += inserted
-                else:
-                    # Multi-block expansion: resume at the continuation
-                    # block, which follows the callee's copied blocks
-                    # and now holds the rest of this block.
-                    break
-            else:
-                bi += 1
+            if ii >= len(block.instructions):
+                bi, ii = bi + 1, 0
                 continue
-            bi += len(callee.blocks) + 1
+            ins = block.instructions[ii]
+            if ins.op != "call":
+                if ins.op == "call.try":
+                    site = InlineSite(
+                        caller.mangled_name, ins.call_target(), block.label, ii
+                    )
+                    self.note_skip(site, "exception-edge")
+                ii += 1
+                continue
+            target = ins.call_target()
+            site = InlineSite(caller.mangled_name, target, block.label, ii)
+            reason = self.ineligible_reason(target)
+            if reason is not None:
+                self.note_skip(site, reason)
+                ii += 1
+                continue
+            callee = self.functions[target]
+            rmap = self.register_map(caller, callee)
+            if rmap is None:
+                self.note_skip(site, "register-pressure")
+                ii += 1
+                continue
+            bi, ii = self.inline_at(caller, bi, ii, ins, callee, rmap)
+            self.report.inlined_sites.append(site)
+            changed = True
         return changed
 
     def note_skip(self, site: InlineSite, reason: str) -> None:
@@ -233,6 +213,24 @@ class _Inliner:
             if not (wanted & taken):
                 return prefix
 
+    @staticmethod
+    def _copy_body(
+        body: list[Instruction], rmap: dict[int, int],
+        lmap: dict[str, str] | None = None, cont: str | None = None,
+    ) -> list[Instruction]:
+        """``body`` renamed through ``rmap`` and ``lmap``; a ``ret`` becomes a copy
+        of its register, if any, into the caller's r0, then ``jmp cont`` if given."""
+        out: list[Instruction] = []
+        for ins in body:
+            if ins.op != "ret":
+                out.append(ins.remap(rmap, lmap))
+                continue
+            for r in _register_operands(ins):
+                out.append(Instruction("addi", (0, rmap[r], 0)))
+            if cont is not None:
+                out.append(Instruction("jmp", (cont,)))
+        return out
+
     def inline_at(
         self,
         caller: IrFunction,
@@ -241,12 +239,12 @@ class _Inliner:
         call: Instruction,
         callee: IrFunction,
         rmap: dict[int, int],
-    ) -> int:
-        """Expand one call site.
+    ) -> tuple[int, int]:
+        """Expand one call site; returns the (block, index) just past it.
 
-        Returns the inserted instruction count for the in-place splice
-        of a single-block callee, or -1 when the callee was expanded as
-        extra blocks with a continuation.
+        A single-block callee is spliced in place; any other becomes blocks
+        after the call's block, then a continuation block holding the rest
+        of it.  Calls copied from the callee wait for the next round.
         """
         args = call.call_arg_regs()
         # Parameters land in callee r0..r(k-1); every other callee
@@ -260,43 +258,28 @@ class _Inliner:
                 init.append(Instruction("li", (rmap[creg], 0)))
 
         block = caller.blocks[bi]
-        single = (
-            len(callee.blocks) == 1
-            and callee.blocks[0].instructions
-            and callee.blocks[0].instructions[-1].op == "ret"
-        )
-        if single:
-            body = callee.blocks[0].instructions
-            spliced = [i.remap(rmap) for i in body[:-1]]
-            # The returned register, if any, lands in the caller's r0.
-            returned = _register_operands(body[-1])
-            tail = [Instruction("addi", (0, rmap[r], 0)) for r in returned]
-            inserted = init + spliced + tail
+        # Validated blocks are never empty.
+        if len(callee.blocks) == 1 and callee.blocks[0].instructions[-1].op == "ret":
+            inserted = init + self._copy_body(callee.blocks[0].instructions, rmap)
             block.instructions[ii : ii + 1] = inserted
             self.recount(caller, call, [inserted])
-            return len(inserted)
+            return bi, ii + len(inserted)
 
         prefix = self.fresh_prefix(caller, callee)
         lmap = {b.label: f"{prefix}_{b.label}" for b in callee.blocks}
         cont_label = f"{prefix}_cont"
-        new_blocks: list[BasicBlock] = []
-        for cb in callee.blocks:
-            nb = BasicBlock(lmap[cb.label])
-            for ins in cb.instructions:
-                ins = ins.remap(rmap, lmap)
-                if ins.op == "ret":
-                    for r in _register_operands(ins):
-                        nb.instructions.append(Instruction("addi", (0, r, 0)))
-                    nb.instructions.append(Instruction("jmp", (cont_label,)))
-                else:
-                    nb.instructions.append(ins)
-            new_blocks.append(nb)
+        new_blocks = [
+            BasicBlock(
+                lmap[b.label], self._copy_body(b.instructions, rmap, lmap, cont_label)
+            )
+            for b in callee.blocks
+        ]
         cont = BasicBlock(cont_label, block.instructions[ii + 1 :])
         head = init + [Instruction("jmp", (lmap[callee.blocks[0].label],))]
         block.instructions = block.instructions[:ii] + head
         caller.blocks[bi + 1 : bi + 1] = new_blocks + [cont]
         self.recount(caller, call, [head] + [nb.instructions for nb in new_blocks])
-        return -1
+        return bi + len(new_blocks) + 1, 0
 
     def recount(
         self, caller: IrFunction, call: Instruction, inserted: list[list[Instruction]]

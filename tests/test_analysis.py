@@ -78,6 +78,15 @@ class TestBuildProfile:
         with pytest.raises(TraceError):
             build_profile(_events(("D", 2, "f"), ("E", 0, 2)))
 
+    def test_enter_of_undefined_handle_rejected(self):
+        with pytest.raises(TraceError, match="^enter for undefined handle 2$"):
+            build_profile(_events(("E", 0, 2), ("X", 1, 2)))
+
+    def test_crossed_exit_rejected(self):
+        events = _events(("D", 2, "f"), ("D", 3, "g"), ("E", 0, 2), ("E", 1, 3), ("X", 2, 2))
+        with pytest.raises(TraceError, match="^unbalanced exit for handle 2$"):
+            build_profile(events)
+
     def test_survives_trace_io(self, listing1):
         out, _, _ = instrument_module(listing1, FilterRuleSet(), "plugin", O0)
         events = execute(out).events

@@ -74,6 +74,19 @@ class TestParseFilter:
         with pytest.raises(FilterParseError):
             parse_filter("REGION_NAMES_BEGIN\nEXCLUDE\nREGION_NAMES_END\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("REGION_NAMES_BEGIN\nFILE_NAMES_BEGIN\n", "nested block 'FILE_NAMES_BEGIN'"),
+            ("FILE_NAMES_BEGIN\nINCLUDE\nFILE_NAMES_END\n", "rule without pattern"),
+        ],
+    )
+    def test_error_names_line_two(self, text, message):
+        with pytest.raises(FilterParseError) as err:
+            parse_filter(text)
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.line == 2
+
 
 class TestWildcardMatch:
     def test_substring_bug_does_not_reproduce(self):

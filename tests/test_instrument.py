@@ -137,6 +137,10 @@ class TestInsertEntryHook:
         with pytest.raises(InstrumentError, match="already"):
             insert_entry_hook(out, 0)
 
+    def test_extern_rejected(self):
+        with pytest.raises(InstrumentError, match="^@puts has no entry block$"):
+            insert_entry_hook(IrFunction(mangled_name="puts", is_extern=True), 0)
+
     def test_input_not_mutated(self):
         f = _plain_function()
         before = [i.op for i in f.blocks[0].instructions]
@@ -271,6 +275,24 @@ class TestEnforceFinally:
     def test_requires_entry_hook(self):
         with pytest.raises(InstrumentError, match="entry hook"):
             enforce_finally(_plain_function(), 0)
+
+    def test_existing_exit_hooks_rejected(self):
+        out = enforce_finally(insert_entry_hook(_plain_function(), 0), 0)
+        with pytest.raises(InstrumentError, match="^@_Z4funci already has exit hooks$"):
+            enforce_finally(out, 0)
+
+    def test_taken_exit_label_gets_a_number(self):
+        m = parse_module(
+            'module "m"\nfunc @main file="a.c" lines=1:4\n'
+            "{\n^e:\n  li r0, 7\n  jmp ^__fin_ret\n^__fin_ret:\n  ret r0\n}\n"
+        )
+        out, _, _ = instrument_module(m, FilterRuleSet(), "plugin", O0)
+        main = out.function("main")
+        assert [b.label for b in main.blocks] == [
+            "e", "__fin_ret", "__fin_ret2", "__fin_unwind",
+        ]
+        assert main.block("__fin_ret").instructions[-1] == I("jmp", "__fin_ret2")
+        assert execute(out).exit_value == execute(m).exit_value == 7
 
 
 class TestInstrumentModule:

@@ -267,6 +267,27 @@ def test_tabbed_header_error_position(text, col, message):
     assert str(exc.value) == f"line 2, col {col}: {message}"
 
 
+def _body(*lines):
+    return 'module "m"\nfunc @f file="a.c" lines=1:2\n{\n' + "\n".join(lines) + "\n}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ('module "m"\nextern @puts\nextern @puts\n', 3, "duplicate function name 'puts'"),
+        (_func('func @puts file="a.c" lines=1:2') + "extern @puts\n", 7,
+         "duplicate function name 'puts'"),
+        (_body("^e", "  ret"), 4, "block label must end with ':'"),
+        (_body("^9e:", "  ret"), 4, "bad block label '9e'"),
+        (_body("^e:", "  jmp ^e", "^e:", "  ret"), 6, "duplicate block label 'e'"),
+    ],
+)
+def test_extern_and_block_label_error_position(text, line, message):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(text)
+    assert str(exc.value) == f"line {line}, col 1: {message}"
+
+
 def test_instruction_lines_take_no_tab_after_the_mnemonic():
     with pytest.raises(IrParseError, match="unknown instruction 'ret\\tr0'"):
         parse_module('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\tr0\n}\n')

@@ -63,7 +63,12 @@ class TestOptLevel:
 
     def test_unknown_level(self):
         with pytest.raises(ValueError):
-            OptLevel.named("O7")
+            OptLevel("O7")
+
+    def test_threshold_is_read_from_the_table(self):
+        assert {lv.level: lv.inline_threshold for lv in LEVELS} == INLINE_THRESHOLDS
+        with pytest.raises(TypeError):
+            OptLevel("O2", 99)
 
 
 class TestInlineCost:
