@@ -22,6 +22,7 @@ from .ir import (
     IrModule,
     IrValidationError,
     RegionDescriptor,
+    is_empty_body,
     validate,
 )
 from .optimizer import OptLevel, inline_pass
@@ -33,7 +34,7 @@ InstrumentationMode = Literal["auto", "plugin"]
 # prior user value in it is dead.
 RET_REG = 15
 
-SKIP_ATTRS = ("empty_body", "builtin", "openmp_internal", "artificial")
+SKIP_ATTRS = ("builtin", "openmp_internal", "artificial")
 
 
 class InstrumentError(Exception):
@@ -59,12 +60,14 @@ def should_instrument(
 ) -> InstrumentDecision:
     """Decide whether one function receives hooks.
 
-    Externs and functions with a skip attribute are never instrumented.
-    Plugin mode additionally applies the compile-time rule set; auto
-    mode never consults it.
+    Externs, functions whose body is a lone ``ret`` and functions with
+    a skip attribute are never instrumented.  Plugin mode additionally
+    applies the compile-time rule set; auto mode never consults it.
     """
     if f.is_extern:
         return InstrumentDecision(False, "extern")
+    if is_empty_body(f):
+        return InstrumentDecision(False, "empty_body")
     for attr in SKIP_ATTRS:
         if attr in f.attrs:
             return InstrumentDecision(False, attr)

@@ -70,6 +70,7 @@ _LABELS = {op: _operand_slice(sig, "l") for op, sig in SIGNATURES.items()}
 # A call target is always the first operand.
 _CALL_OPS = frozenset(op for op, sig in SIGNATURES.items() if sig.startswith("f"))
 
+# Nothing reads empty_body: is_empty_body reads that fact from the body.
 FUNCTION_ATTRS = frozenset(
     {"empty_body", "builtin", "openmp_internal", "artificial", "no_inline"}
 )
@@ -284,14 +285,6 @@ def validate(m: IrModule) -> list[Violation]:
         for a in f.attrs:
             if a not in FUNCTION_ATTRS:
                 out.append(Violation("unknown-attr", where, f"attribute '{a}'"))
-        if ("empty_body" in f.attrs) != is_empty_body(f):
-            out.append(
-                Violation(
-                    "empty-body-attr",
-                    where,
-                    "empty_body attribute inconsistent with body shape",
-                )
-            )
         if not f.blocks:
             out.append(Violation("no-blocks", where, "function has no blocks"))
             continue
@@ -787,8 +780,6 @@ def _parse_lines(p: _Parser, source_name: str) -> IrModule:
                 )
             seen_names[f.mangled_name] = lineno
             _parse_body(p, f, block_lines, instr_lines, parsed, lineno)
-            if is_empty_body(f):
-                f.attrs.add("empty_body")
             module.functions.append(f)
         elif line == "regions:":
             while True:

@@ -151,7 +151,6 @@ class RegionRegistry:
     """Maps region ids to handles; handles from 2 up."""
 
     handles: dict[int, int] = field(default_factory=dict)
-    next_handle: int = FIRST_VALID_HANDLE
 
 
 class Monitor:
@@ -180,8 +179,7 @@ class Monitor:
         if decision.outcome == "filtered":
             handle = FILTERED_REGION
         else:
-            handle = self.registry.next_handle
-            self.registry.next_handle += 1
+            handle = FIRST_VALID_HANDLE + len(self.events.definitions)
             # In the trace domain regions are identified by handle; the
             # module-local region id is not serialized.
             self.events._define(

@@ -10,7 +10,8 @@ compiled output regenerates the file with
 
     PYTHONPATH=src python tests/test_compile_golden.py --write
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  The script prints every seed whose digest
+changed, and a failing test names every mismatched seed.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def test_compile_output_matches_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert sorted(golden, key=int) == [str(s) for s in SEEDS]
     mismatched = [s for s in SEEDS if _digest(s) != golden[str(s)]]
-    assert mismatched == []
+    assert not mismatched, f"digests changed for seeds {mismatched}"
 
 
 def _mutate_output(out: IrModule) -> None:
@@ -147,5 +148,10 @@ def test_clone_is_equal_and_independent(seed):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_compile_golden.py --write")
+    old = {}
+    if GOLDEN_PATH.exists():
+        old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     digests = {str(s): _digest(s) for s in SEEDS}
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    changed = [s for s in SEEDS if old.get(str(s)) != digests[str(s)]]
+    print(f"{len(changed)} seeds changed: {changed}")

@@ -73,9 +73,9 @@ func @main file="a.c" lines=15:20
 RULES = FilterRuleSet()
 
 
-def _empty_body_attr() -> IrModule:
+def _unknown_attr() -> IrModule:
     m = parse_module(TEXT)
-    m.function("mid").attrs.add("empty_body")
+    m.function("mid").attrs.add("no_such_attr")
     return m
 
 
@@ -88,12 +88,12 @@ def _hook_without_region() -> IrModule:
 
 def _instrumented_then_broken() -> IrModule:
     m, _, _ = instrument_module(parse_module(TEXT), RULES, "plugin", O0)
-    m.function("leaf").attrs.add("empty_body")
+    m.function("leaf").attrs.add("no_such_attr")
     return m
 
 
 INVALID = {
-    "empty-body-attr": _empty_body_attr,
+    "unknown-attr": _unknown_attr,
     "hook-without-region": _hook_without_region,
     "instrumented-then-broken": _instrumented_then_broken,
 }

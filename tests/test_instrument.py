@@ -295,6 +295,33 @@ class TestEnforceFinally:
         assert execute(out).exit_value == execute(m).exit_value == 7
 
 
+_EMPTIED_BY_INLINING = """\
+module "m"
+
+func @main file="a.c" lines=1:5
+{
+^e:
+  li r1, 7
+  call @mid
+  addi r0, r1, 0
+  ret r0
+}
+
+func @mid file="a.c" lines=6:9
+{
+^e:
+  call @empty
+  ret
+}
+
+func @empty file="a.c" lines=10:11
+{
+^e:
+  ret
+}
+"""
+
+
 class TestInstrumentModule:
     def test_listing1_plugin_o0(self, listing1):
         out, report, descs = instrument_module(listing1, FilterRuleSet(), "plugin", O0)
@@ -350,6 +377,32 @@ class TestInstrumentModule:
         assert skipped["_Z7builtini"] == "builtin"
         assert skipped["omp_helper"] == "openmp_internal"
         assert skipped[".omp_outlined."] == "artificial"
+
+    def test_function_emptied_by_inlining_is_skipped_in_plugin_mode(self):
+        # At O1 inlining @empty leaves @mid a lone ret: plugin mode, which
+        # instruments the optimised code, skips it like one written empty;
+        # auto mode instruments the body as written.
+        m = parse_module(_EMPTIED_BY_INLINING)
+        expected = execute(m).exit_value
+        assert expected == 7
+        out, report, _ = instrument_module(m, FilterRuleSet(), "plugin", O1)
+        assert ("mid", "empty_body") in report.skipped
+        assert execute(out).exit_value == expected
+        out, report, _ = instrument_module(m, FilterRuleSet(), "auto", O1)
+        assert "mid" in dict(report.instrumented)
+        assert execute(out).exit_value == expected
+
+    def test_empty_body_attr_on_a_real_body_is_inert(self):
+        text = (
+            'module "m"\n\nfunc @main file="a.c" lines=1:2 attrs=empty_body\n'
+            "{\n^e:\n  li r0, 3\n  ret r0\n}\n"
+        )
+        m = parse_module(text)
+        assert print_module(m) == text
+        out, report, _ = instrument_module(m, FilterRuleSet(), "plugin", O0)
+        assert report.instrumented == [("main", 0)]
+        assert report.skipped == []
+        assert execute(out).exit_value == 3
 
     def test_extern_skipped(self):
         m = load_corpus("extern_call.ir")

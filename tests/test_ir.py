@@ -15,6 +15,7 @@ from instrumenta.ir import (
     IrParseError,
     IrValidationError,
     format_instruction,
+    is_empty_body,
     parse_module,
     print_module,
     validate,
@@ -99,9 +100,12 @@ class TestParse:
         assert m.function("f").blocks[0].instructions[0] == I("work", 3)
 
     def test_empty_body_attr_is_derived(self):
-        text = 'module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\n}\n'
+        # The fact is read from the body; the parser stores no attribute.
+        text = 'module "m"\n\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\n}\n'
         m = parse_module(text)
-        assert "empty_body" in m.function("f").attrs
+        assert m.function("f").attrs == set()
+        assert is_empty_body(m.function("f"))
+        assert print_module(m) == text
 
     def test_missing_terminator_rejected(self):
         with pytest.raises(IrError):
@@ -316,8 +320,6 @@ _BEFORE = (
          9, "bad-line at main: begin line not positive"),
         ('func @main file="a.c" lines=3:2\n{\n^e:\n  ret\n}\n',
          9, "line-range at main: begin line after end line"),
-        ('func @main file="a.c" lines=1:2 attrs=empty_body\n{\n^e:\n  li r0, 1\n  ret\n}\n',
-         9, "empty-body-attr at main: empty_body attribute inconsistent with body shape"),
         ('func @main file="a.c" lines=1:2\n{\n^e:\n  li r0, 1\n  hook.enter 4\n  ret\n}\n',
          13, "unknown-region at main/^e[1]: region 4 not in table"),
         ('func @main file="a.c" lines=1:2\n{\n^e:\n  jmp ^f\n^f:\n  jnz r0, ^e, ^zz\n}\n',
@@ -327,7 +329,7 @@ _BEFORE = (
     ],
     ids=[
         "missing-terminator", "empty-block", "terminator-mid-block", "no-blocks",
-        "bad-line", "line-range", "empty-body-attr", "unknown-region",
+        "bad-line", "line-range", "unknown-region",
         "undefined-label", "undefined-call-target",
     ],
 )
@@ -466,21 +468,17 @@ class TestValidate:
         assert "bad-register" in codes
         assert "bad-work-count" in codes
 
-    def test_empty_body_attr_iff(self):
+    def test_empty_body_attr_is_inert(self):
+        # The attribute may sit on any body, and a lone ret needs none.
         plain = _valid_function()
         plain.attrs = {"empty_body"}  # body is not a lone ret
-        assert "empty-body-attr" in [
-            v.code for v in validate(IrModule(name="m", functions=[plain]))
-        ]
         lone = IrFunction(
             mangled_name="g", file="a.c", begin_line=1, end_line=1,
             blocks=[BasicBlock("e", [I("ret")])],
         )
-        assert "empty-body-attr" in [
-            v.code for v in validate(IrModule(name="m", functions=[lone]))
-        ]
+        assert validate(IrModule(name="m", functions=[plain, lone])) == []
         lone.attrs = {"empty_body"}
-        assert validate(IrModule(name="m", functions=[lone])) == []
+        assert validate(IrModule(name="m", functions=[plain, lone])) == []
 
     def test_extern_with_body(self):
         f = _valid_function()
