@@ -11,10 +11,11 @@ tick totals.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .filters import FilterRuleSet
-from .ir import HOOK_OPS, IrFunction, IrModule, IrValidationError, validate
+from .ir import _CALL_OPS, HOOK_OPS, Instruction, IrFunction, IrModule, IrValidationError, validate
 from .runtime import FILTERED_REGION, Monitor, Trace, TraceError, UnbalancedExitError
 
 DEFAULT_STEP_LIMIT = 10**8
@@ -87,12 +88,40 @@ class ExecutionResult:
 # they cannot fail, and they cost a fixed hook_guard (an enter or exit)
 # or nothing (a register).  Such a region's functions are lowered again
 # when its first registration returns FILTERED_REGION.
+#
+# A call to a defined function whose entry op is a _RET (a leaf) is
+# pure as well: that op is all the callee runs, and it cannot fail.  The
+# call adds its own step and tick and the leaf op's to the run, and, for
+# ``ret rk``, the update r0 := the caller's argument k.  The frame the
+# call would have pushed is recorded as a depth mark, the update
+# (_ZERO, _ZERO, _ZERO, _MARK + d): d frames beyond the current one.
+# Its sum is out of range, and _ZERO is never written, so the update
+# loop meets a mark only on its wrapping branch.
 _JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _THROW, _HEXIT, _HEXITRET, _RET = range(10)
 _ZERO = 16
+_MARK = 1 << 63
 
 
 def _wrap(v: int) -> int:
     return ((v + _I64_BIAS) & _I64_MASK) - _I64_BIAS
+
+
+def _leaf_call(callee: list[list[tuple]], call: Instruction, base: int) -> tuple | None:
+    """(steps, ticks, updates) that ``call`` adds to its run when
+    ``callee`` is a leaf, or None when the call is not folded: the
+    callee is not a leaf, is not lowered yet (the call is recursive), or
+    writes the register it returns."""
+    if not callee or callee[0][0][0] != _RET:
+        return None
+    _, steps, ticks, updates, rk = callee[0][0]
+    depth = 1 + max((c - _MARK for dst, _, _, c in updates if dst == _ZERO), default=0)
+    out = [(_ZERO, _ZERO, _ZERO, _MARK + depth)]
+    if rk is not None:
+        if any(dst == rk for dst, *_ in updates):
+            return None
+        arg_regs = call.call_arg_regs()
+        out.append((0, arg_regs[rk] if rk < len(arg_regs) else _ZERO, _ZERO, 0))
+    return steps, base + ticks, out
 
 
 def _lower_function(
@@ -103,8 +132,9 @@ def _lower_function(
     filtered: set[int],
 ) -> list[list[tuple]]:
     """Fold pure runs of one function, with the hooks of the regions in
-    ``filtered`` among them; resolve labels to block indices, call
-    targets to code lists and a call's resume point to a block object."""
+    ``filtered`` and the calls to leaves already in ``code`` among them;
+    resolve labels to block indices, call targets to code lists and a
+    call's resume point to a block object."""
     label_idx = {b.label: i for i, b in enumerate(f.blocks)}
     blocks: list[list[tuple]] = [[] for _ in f.blocks]
     base = costs.base_instruction
@@ -140,8 +170,15 @@ def _lower_function(
                 continue
             nxt = instrs[i] if i < len(instrs) else None
             if op == "call" or op == "call.try":
-                if args[0] not in code:  # an extern
-                    ticks += costs.extern_call
+                callee = code.get(args[0])
+                if callee is None:  # an extern
+                    pure = (0, costs.extern_call, ())
+                else:
+                    pure = _leaf_call(callee, ins, base)
+                if pure is not None:
+                    steps += pure[0]
+                    ticks += pure[1]
+                    updates += pure[2]
                     if op == "call":
                         continue
                     eff = (_JMP, label_idx[args[-2]])
@@ -192,15 +229,75 @@ def _lower_function(
     return blocks
 
 
-def _hook_holders(m: IrModule) -> dict[int, list[IrFunction]]:
-    """Region id -> the functions that hold its hooks.  Inlining can
-    copy a region's hooks into callers, so there may be several."""
-    holders: dict[int, list[IrFunction]] = {}
-    for f in m.functions:
-        rids = {ins.args[0] for b in f.blocks for ins in b.instructions if ins.is_hook}
-        for rid in rids:
-            holders.setdefault(rid, []).append(f)
-    return holders
+def _callees(f: IrFunction) -> list[str]:
+    return [ins.args[0] for b in f.blocks for ins in b.instructions if ins.op in _CALL_OPS]
+
+
+def _callees_first(defined: list[IrFunction]) -> list[IrFunction]:
+    """The defined functions in post-order of the call graph, so that a
+    function comes after its callees except along a recursive call."""
+    by_name = {f.mangled_name: f for f in defined}
+    order: list[IrFunction] = []
+    seen: set[str] = set()
+    for root in defined:
+        if root.mangled_name in seen:
+            continue
+        seen.add(root.mangled_name)
+        stack = [(root, iter(_callees(root)))]
+        while stack:
+            f, pending = stack[-1]
+            for name in pending:
+                if name in by_name and name not in seen:
+                    seen.add(name)
+                    stack.append((by_name[name], iter(_callees(by_name[name]))))
+                    break
+            else:
+                stack.pop()
+                order.append(f)
+    return order
+
+
+def _relower(
+    todo: list[int],
+    order: list[IrFunction],
+    callers: dict[str, list[int]],
+    m: IrModule,
+    code: dict[str, list[list[tuple]]],
+    costs: CostModel,
+    filtered: set[int],
+) -> None:
+    """Lower the functions at the ``order`` positions in ``todo`` again,
+    in place, then every caller of a function whose entry op has just
+    become a _RET, transitively.  Callees go first and each function is
+    lowered once."""
+    heapq.heapify(todo)
+    done: set[int] = set()
+    while todo:
+        i = heapq.heappop(todo)
+        if i in done:
+            continue
+        done.add(i)
+        name = order[i].mangled_name
+        blocks = code[name]
+        was_leaf = blocks[0][0][0] == _RET
+        blocks[:] = _lower_function(order[i], m, code, costs, filtered)
+        if not was_leaf and blocks[0][0][0] == _RET:
+            for c in callers.get(name, ()):
+                heapq.heappush(todo, c)
+
+
+def _patch_index(order: list[IrFunction]) -> tuple[dict[int, list[int]], dict[str, list[int]]]:
+    """Region id -> the positions in ``order`` of the functions that
+    hold its hooks (inlining can copy a region's hooks into callers, so
+    there may be several), and callee name -> its callers' positions."""
+    holders: dict[int, list[int]] = {}
+    callers: dict[str, list[int]] = {}
+    for i, f in enumerate(order):
+        for rid in {ins.args[0] for b in f.blocks for ins in b.instructions if ins.is_hook}:
+            holders.setdefault(rid, []).append(i)
+        for name in _callees(f):
+            callers.setdefault(name, []).append(i)
+    return holders, callers
 
 
 def execute(
@@ -225,12 +322,12 @@ def execute(
 
     costs = costs if costs is not None else CostModel()
     monitor = Monitor(runtime_rules)
-    defined = [f for f in m.functions if not f.is_extern]
-    code: dict[str, list[list[tuple]]] = {f.mangled_name: [] for f in defined}
+    order = _callees_first([f for f in m.functions if not f.is_extern])
+    code: dict[str, list[list[tuple]]] = {f.mangled_name: [] for f in order}
     filtered: set[int] = set()
-    for f in defined:
+    for f in order:
         code[f.mangled_name][:] = _lower_function(f, m, code, costs, filtered)
-    holders: dict[int, list[IrFunction]] | None = None  # built at the first patch
+    holders = callers = None  # built at the first patch
 
     base = costs.base_instruction
     guard = costs.hook_guard
@@ -265,7 +362,12 @@ def execute(
         ticks += ins[2]
         for dst, a, b, c in ins[3]:
             v = regs[a] + regs[b] + c
-            regs[dst] = v if -(2**63) <= v < 2**63 else _wrap(v)
+            if -(2**63) <= v < 2**63:
+                regs[dst] = v
+            elif dst != _ZERO:
+                regs[dst] = _wrap(v)
+            elif len(frames) + 1 + v - _MARK > max_depth:  # a folded call's depth mark
+                max_depth = len(frames) + 1 + v - _MARK
         op = ins[0]
         if op == _JNZ:
             cur = blocks[ins[5] if regs[ins[4]] != 0 else ins[6]]
@@ -293,12 +395,12 @@ def execute(
                     # Patch the region's hooks out of every function
                     # that holds them, in place: call ops and frames
                     # hold these lists, and enter or jump into the new
-                    # code from here on.
+                    # code from here on.  Callers of a function that
+                    # became a leaf fold their calls to it.
                     filtered.add(ins[4])
                     if holders is None:
-                        holders = _hook_holders(m)
-                    for f in holders[ins[4]]:
-                        code[f.mangled_name][:] = _lower_function(f, m, code, costs, filtered)
+                        holders, callers = _patch_index(order)
+                    _relower(list(holders[ins[4]]), order, callers, m, code, costs, filtered)
             if op == _HREG:
                 ip += 1
                 continue

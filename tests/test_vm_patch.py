@@ -212,7 +212,27 @@ def test_patch_relowers_every_holder_once(monkeypatch):
     made = _lowerings(monkeypatch)
     vm.execute(m, runtime_rules=_exclude("_Z4leafv"))
     patched = [(name, filtered) for name, filtered, _ in made if filtered]
-    assert patched == [("_Z4leafv", {leaf}), ("_Z6helperv", {leaf})]
+    # The leaf's entry op becomes a ret, so its caller main is lowered
+    # again, once, after both holders, and folds its call to the leaf.
+    # The helper's entry op is a jmp still (threading goes one jmp deep),
+    # so its calls stay: the call.try of ^__cont1 and its copy that the
+    # folded call's jmp is threaded into.
+    assert patched == [("_Z4leafv", {leaf}), ("_Z6helperv", {leaf}), ("main", {leaf})]
+    helper = made[-2][2]
+    calls = [op for block in made[-1][2] for op in block if op[0] == vm._CALL]
+    assert [op[4][0] is helper[0] for op in calls] == [True, True]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_execute_lowers_each_function_once_before_the_run(monkeypatch, seed):
+    m = gens.terminating_module(random.Random(seed))
+    m = instrument_module(m, FilterRuleSet(), "auto", O2)[0]
+    defined = sorted(f.mangled_name for f in m.functions if not f.is_extern)
+    for rules in (None, EXCLUDE_ALL):
+        made = _lowerings(monkeypatch)
+        vm.execute(m, runtime_rules=rules)
+        # Patches lower with a region filtered; the first lowering has none.
+        assert sorted(name for name, filtered, _ in made if not filtered) == defined
 
 
 def test_recorded_regions_are_not_patched(monkeypatch):
@@ -250,6 +270,25 @@ def test_filtered_compute_leaf_lowers_to_one_op_without_hooks(monkeypatch):
     hook_ops = (vm._HREG, vm._HREGENTER, vm._HENTER, vm._HEXIT, vm._HEXITRET)
     assert not any(op[0] in hook_ops for block in blocks for op in block)
     assert any(ins.op in HOOK_OPS for b in m.function(leaf).blocks for ins in b.instructions)
+
+
+def test_filtered_compute_inner_loop_lowers_to_one_jnz(monkeypatch):
+    text, leaf_filter = _filtered_compute(3)
+    m = instrument_module(parse_module(text), FilterRuleSet(), "auto", O2)[0]
+    rules = parse_filter(leaf_filter)
+    leaf = next(r.pattern for r in rules.region_rules)
+    made = _lowerings(monkeypatch)
+    vm.execute(m, runtime_rules=rules)
+    # The patch turns the leaf's entry op into a ret, so main, its caller,
+    # is lowered again: the call.try folds into a jmp, which is threaded
+    # into ^__cont2's jnz.
+    assert [name for name, filtered, _ in made if filtered] == [leaf, "main"]
+    main, leaf_op = made[-1][2], made[-2][2][0][0]
+    at = {b.label: i for i, b in enumerate(m.function("main").blocks)}
+    inner, cont = main[at["inner"]], main[at["__cont2"]]
+    assert [op[0] for op in inner] == [vm._JNZ] and [op[0] for op in cont] == [vm._JNZ]
+    base = vm.CostModel().base_instruction
+    assert inner[0][1:3] == (1 + leaf_op[1] + cont[0][1], base + leaf_op[2] + cont[0][2])
 
 
 @pytest.mark.parametrize("seed", range(40))
