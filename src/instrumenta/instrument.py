@@ -2,10 +2,11 @@
 and try/finally restructuring of the exit paths.
 
 Each instrumented function gets a ``hook.register``/``hook.enter`` pair
-near its entry, a single ``hook.exit`` on the return path and a single
-``hook.exit`` on the unwind path.  Plugin mode runs after inlining and
-honors compile-time filter rules; auto mode runs before inlining and
-instruments unconditionally.
+near its entry, a ``hook.exit`` on the return path (one for valued and
+one for bare returns when it has both) and a single ``hook.exit`` on the
+unwind path.  Plugin mode runs after inlining and honors compile-time
+filter rules; auto mode runs before inlining and instruments
+unconditionally.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def enforce_finally(
     """Rewrite the body so the exit hook runs on every way out.
 
     A fresh exit block holds ``hook.exit; ret`` and every original ret
-    jumps there (the return value staged through r15).  A fresh landing
+    jumps there (the return value staged through r15).  When valued and
+    bare rets are mixed, the bare ones jump to a second exit block with a
+    bare ``ret``, so the caller's r0 is left alone.  A fresh landing
     block holds ``hook.exit; rethrow``; every plain call to a non-extern
     function becomes a ``call.try`` unwinding there, and every ``throw``
     or ``rethrow`` jumps there (a handler re-raising must still run the
@@ -160,22 +163,22 @@ def enforce_finally(
     taken = out.labels()
     fin_ret = _fresh_label(taken, "__fin_ret")
     fin_unwind = _fresh_label(taken, "__fin_unwind")
-    valued = any(
-        ins.op == "ret" and ins.args
-        for b in out.blocks
-        for ins in b.instructions
-    )
+    rets = [b.instructions[-1] for b in out.blocks if b.instructions[-1].op == "ret"]
+    valued = any(ins.args for ins in rets)
+    fin_bare = fin_ret
+    if valued and not all(ins.args for ins in rets):
+        fin_bare = _fresh_label(taken, "__fin_ret_bare")
 
     for block in out.blocks:
         term = block.instructions[-1]
         if term.op == "ret":
-            repl: list[Instruction] = []
             if term.args:
-                repl.append(Instruction("addi", (RET_REG, term.args[0], 0)))
-            elif valued:
-                repl.append(Instruction("li", (RET_REG, 0)))
-            repl.append(Instruction("jmp", (fin_ret,)))
-            block.instructions[-1:] = repl
+                block.instructions[-1:] = [
+                    Instruction("addi", (RET_REG, term.args[0], 0)),
+                    Instruction("jmp", (fin_ret,)),
+                ]
+            else:
+                block.instructions[-1] = Instruction("jmp", (fin_bare,))
         elif term.op in ("throw", "rethrow"):
             block.instructions[-1] = Instruction("jmp", (fin_unwind,))
 
@@ -203,6 +206,10 @@ def enforce_finally(
     out.blocks.append(
         BasicBlock(fin_ret, [Instruction("hook.exit", (region_id,)), ret])
     )
+    if fin_bare != fin_ret:
+        out.blocks.append(
+            BasicBlock(fin_bare, [Instruction("hook.exit", (region_id,)), Instruction("ret")])
+        )
     out.blocks.append(
         BasicBlock(
             fin_unwind,

@@ -73,7 +73,7 @@ class ExecutionResult:
 # jmp, jnz, ret, throw/rethrow) are dispatched.  Every maximal run of
 # pure instructions (li, addi, add, work, and plain calls to externs,
 # which only cost ticks) is folded into the effect op that ends it:
-#     (opcode, steps, ticks, updates, *operands)
+#     (opcode, steps, ticks, updates, events, *operands)
 # ``steps`` counts the folded instructions and the op itself, ``ticks``
 # is their static cost including the op's own base_instruction or
 # extern_call (a hook's monitoring cost is charged when it runs), and
@@ -84,36 +84,59 @@ class ExecutionResult:
 # one op each; the steps of a fused ret are checked on their own, so a
 # run stopped by the step limit fails exactly as it would unfused.
 #
-# The hooks of a region that is registered and filtered are pure too:
-# they cannot fail, and they cost a fixed hook_guard (an enter or exit)
-# or nothing (a register).  Such a region's functions are lowered again
-# when its first registration returns FILTERED_REGION.
+# The hooks of a registered region are pure too: a hook.register costs
+# one step and nothing else, and an enter or exit costs hook_guard when
+# the region is filtered.  When it is recorded, the enter or exit costs
+# hook_guard + hook_event and becomes one of the op's ``events``,
+# (+handle or -handle, tick offset, step offset): the ticks of the op
+# charged before it and its own step number within the op.  ``events``
+# is None for an op without any; otherwise ``updates`` ends with
+# _RECORD, whose destination _EVENTS is never written and whose sum is
+# out of range, so the update loop meets it only on its wrapping branch,
+# where it records the events.  A filtered region's functions are
+# lowered again at its first registration, a recorded region's once its
+# stale hook.register ops have run _TIER_UP times.
 #
 # A call to a defined function whose entry op is a _RET (a leaf) is
-# pure as well: that op is all the callee runs, and it cannot fail.  The
-# call adds its own step and tick and the leaf op's to the run, and, for
-# ``ret rk``, the update r0 := the caller's argument k.  The frame the
-# call would have pushed is recorded as a depth mark, the update
+# pure as well: that op is all the callee runs.  The call adds its own
+# step and tick and the leaf op's to the run, the leaf op's events, and,
+# for ``ret rk``, the update r0 := the caller's argument k.  The frame
+# the call would have pushed is recorded as a depth mark, the update
 # (_ZERO, _ZERO, _ZERO, _MARK + d): d frames beyond the current one.
 # Its sum is out of range, and _ZERO is never written, so the update
 # loop meets a mark only on its wrapping branch.
 _JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _THROW, _HEXIT, _HEXITRET, _RET = range(10)
 _ZERO = 16
+_EVENTS = 17
 _MARK = 1 << 63
+_RECORD = (_EVENTS, _ZERO, _ZERO, _MARK)
+# Ops that go on to the next op of their block, so a jmp is never
+# threaded into one.
+_STAYS = (_HREG, _HREGENTER, _HENTER, _HEXIT)
+# Runs of a recorded region's stale hook.register ops after which its
+# holders are lowered again.  Lowering every region again at its first
+# registration costs more than it saves on a rarely visited one.
+_TIER_UP = 64
 
 
 def _wrap(v: int) -> int:
     return ((v + _I64_BIAS) & _I64_MASK) - _I64_BIAS
 
 
+def _shifted(events: tuple | None, steps: int, ticks: int) -> list[tuple]:
+    """``events`` of an op that runs after ``steps`` steps and ``ticks``
+    ticks of another run."""
+    return [(code, ticks + dt, steps + ds) for code, dt, ds in events or ()]
+
+
 def _leaf_call(callee: list[list[tuple]], call: Instruction, base: int) -> tuple | None:
-    """(steps, ticks, updates) that ``call`` adds to its run when
-    ``callee`` is a leaf, or None when the call is not folded: the
-    callee is not a leaf, is not lowered yet (the call is recursive), or
-    writes the register it returns."""
+    """(steps, ticks, updates, events) that ``call`` adds to its run when
+    ``callee`` is a leaf, the events as the leaf op has them, or None when
+    the call is not folded: the callee is not a leaf, is not lowered yet
+    (the call is recursive), or writes the register it returns."""
     if not callee or callee[0][0][0] != _RET:
         return None
-    _, steps, ticks, updates, rk = callee[0][0]
+    _, steps, ticks, updates, events, rk = callee[0][0]
     depth = 1 + max((c - _MARK for dst, _, _, c in updates if dst == _ZERO), default=0)
     out = [(_ZERO, _ZERO, _ZERO, _MARK + depth)]
     if rk is not None:
@@ -121,7 +144,18 @@ def _leaf_call(callee: list[list[tuple]], call: Instruction, base: int) -> tuple
             return None
         arg_regs = call.call_arg_regs()
         out.append((0, arg_regs[rk] if rk < len(arg_regs) else _ZERO, _ZERO, 0))
-    return steps, base + ticks, out
+    return steps, base + ticks, out, events
+
+
+def _threaded(jmp: tuple, to: tuple) -> tuple:
+    """The op ``to`` with the run of the op ``jmp`` before its own."""
+    if jmp[4] is None and to[4] is None:
+        return (to[0], jmp[1] + to[1], jmp[2] + to[2], jmp[3] + to[3], None, *to[5:])
+    updates = [*jmp[3], *to[3]]
+    events = [*(jmp[4] or ()), *_shifted(to[4], jmp[1], jmp[2])]
+    if events:
+        updates = [u for u in updates if u[0] != _EVENTS] + [_RECORD]
+    return (to[0], jmp[1] + to[1], jmp[2] + to[2], tuple(updates), tuple(events) or None, *to[5:])
 
 
 def _lower_function(
@@ -129,19 +163,22 @@ def _lower_function(
     m: IrModule,
     code: dict[str, list[list[tuple]]],
     costs: CostModel,
-    filtered: set[int],
+    handles: dict[int, int],
 ) -> list[list[tuple]]:
-    """Fold pure runs of one function, with the hooks of the regions in
-    ``filtered`` and the calls to leaves already in ``code`` among them;
-    resolve labels to block indices, call targets to code lists and a
-    call's resume point to a block object."""
+    """Fold pure runs of one function, with the hooks of the regions that
+    ``handles`` (the Monitor's region -> handle map) holds and the calls
+    to leaves already in ``code`` among them; resolve labels to block
+    indices, call targets to code lists and a call's resume point to a
+    block object."""
     label_idx = {b.label: i for i, b in enumerate(f.blocks)}
     blocks: list[list[tuple]] = [[] for _ in f.blocks]
     base = costs.base_instruction
     guard = costs.hook_guard
+    recorded = guard + costs.hook_event
     for lowered, b in zip(blocks, f.blocks):
         steps = ticks = 0
         updates: list[tuple] = []
+        events: list[tuple] = []
         instrs = b.instructions
         i = 0
         while i < len(instrs):
@@ -164,18 +201,25 @@ def _lower_function(
             if op == "work":
                 ticks += args[0]
                 continue
-            if op in HOOK_OPS and args[0] in filtered:
+            if op in HOOK_OPS and args[0] in handles:
                 if op != "hook.register":
-                    ticks += guard
+                    handle = handles[args[0]]
+                    if handle == FILTERED_REGION:
+                        ticks += guard
+                    else:
+                        events.append((handle if op == "hook.enter" else -handle, ticks, steps))
+                        ticks += recorded
                 continue
             nxt = instrs[i] if i < len(instrs) else None
             if op == "call" or op == "call.try":
                 callee = code.get(args[0])
                 if callee is None:  # an extern
-                    pure = (0, costs.extern_call, ())
+                    pure = (0, costs.extern_call, (), None)
                 else:
                     pure = _leaf_call(callee, ins, base)
                 if pure is not None:
+                    if pure[3]:  # after the call's own step and tick
+                        events += _shifted(pure[3], steps, ticks + base)
                     steps += pure[0]
                     ticks += pure[1]
                     updates += pure[2]
@@ -213,20 +257,56 @@ def _lower_function(
                     eff = (_RET, args[0] if args else None)
                 else:  # throw, rethrow
                     eff = (_THROW,)
-            lowered.append((eff[0], steps, ticks, tuple(updates), *eff[1:]))
+            if events:
+                updates.append(_RECORD)
+                lowered.append((eff[0], steps, ticks, tuple(updates), tuple(events), *eff[1:]))
+                events = []
+            else:
+                lowered.append((eff[0], steps, ticks, tuple(updates), None, *eff[1:]))
             steps = ticks = 0
             updates = []
     # Thread each jmp into the first op of its target when that op
-    # leaves its block (or resumes at a fixed place): the jmp and its
-    # run cannot fail, so one check at the sum of their steps is the
-    # target op's own check.
-    for lowered in blocks:
-        jmp = lowered[-1]
-        if jmp[0] == _JMP:
-            to = blocks[jmp[4]][0]
-            if to[0] not in (_HREG, _HREGENTER, _HENTER, _HEXIT):
-                lowered[-1] = (to[0], jmp[1] + to[1], jmp[2] + to[2], jmp[3] + to[3], *to[4:])
+    # leaves its block (or resumes at a fixed place).  Nothing in the jmp
+    # and its run can fail but an exit event, which the interpreter
+    # checks in order, so one step check at the sum of their steps is
+    # the target op's own check.  A chain of jmps is threaded from its
+    # far end, so it collapses into one op; a jmp that closes a cycle of
+    # jmps is left as it is.
+    done = [False] * len(blocks)
+    for i, lowered in enumerate(blocks):
+        if lowered[-1][0] != _JMP or done[i]:
+            continue
+        chain = []
+        while lowered[-1][0] == _JMP and not done[i]:
+            done[i] = True
+            chain.append(i)
+            i = lowered[-1][5]
+            lowered = blocks[i]
+        if i in chain:  # a jmp cycle, left open where it closes
+            chain.pop()
+        for i in reversed(chain):
+            jmp = blocks[i][-1]
+            to = blocks[jmp[5]][0]
+            if to[0] not in _STAYS:
+                blocks[i][-1] = _threaded(jmp, to)
     return blocks
+
+
+def _record(events: tuple, t0: int, room: int, codes, stamps, open_regions) -> None:
+    """Record the events of an op whose run starts at tick ``t0``, up to
+    its step ``room``; an exit that does not close the innermost open
+    region raises as it would unfolded."""
+    for code, dt, ds in events:
+        if ds > room:
+            return
+        if code > 0:
+            open_regions.append(code)
+        else:
+            top = open_regions.pop() if open_regions else None
+            if top != -code:
+                raise UnbalancedExitError(f"exit for handle {-code} while top of stack is {top}")
+        codes.append(code)
+        stamps.append(t0 + dt)
 
 
 def _callees(f: IrFunction) -> list[str]:
@@ -264,7 +344,7 @@ def _relower(
     m: IrModule,
     code: dict[str, list[list[tuple]]],
     costs: CostModel,
-    filtered: set[int],
+    handles: dict[int, int],
 ) -> None:
     """Lower the functions at the ``order`` positions in ``todo`` again,
     in place, then every caller of a function whose entry op has just
@@ -280,7 +360,7 @@ def _relower(
         name = order[i].mangled_name
         blocks = code[name]
         was_leaf = blocks[0][0][0] == _RET
-        blocks[:] = _lower_function(order[i], m, code, costs, filtered)
+        blocks[:] = _lower_function(order[i], m, code, costs, handles)
         if not was_leaf and blocks[0][0][0] == _RET:
             for c in callers.get(name, ()):
                 heapq.heappush(todo, c)
@@ -322,24 +402,26 @@ def execute(
 
     costs = costs if costs is not None else CostModel()
     monitor = Monitor(runtime_rules)
+    # The hook fast path: the Monitor's state, written here directly.
+    handle_of = monitor.registry.handles
+    codes = monitor.events.codes
+    stamps = monitor.events.stamps
+    open_regions = monitor.shadow_stack
+
     order = _callees_first([f for f in m.functions if not f.is_extern])
     code: dict[str, list[list[tuple]]] = {f.mangled_name: [] for f in order}
-    filtered: set[int] = set()
     for f in order:
-        code[f.mangled_name][:] = _lower_function(f, m, code, costs, filtered)
+        code[f.mangled_name][:] = _lower_function(f, m, code, costs, handle_of)
     holders = callers = None  # built at the first patch
+    # Region id -> the runs of its stale hook.register ops left before
+    # its holders are lowered again.
+    stale: dict[int, int] = {}
 
     base = costs.base_instruction
     guard = costs.hook_guard
     reg_first = costs.hook_register_first
     recorded = guard + costs.hook_event
     over = f"step limit of {step_limit} exceeded"
-
-    # The hook fast path: the Monitor's state, written here directly.
-    handle_of = monitor.registry.handles
-    codes = monitor.events.codes
-    stamps = monitor.events.stamps
-    open_regions = monitor.shadow_stack
 
     # The block being run is held as an object, so code that is running
     # when a patch lands finishes in the old lowering, which is still
@@ -358,52 +440,61 @@ def execute(
         ins = cur[ip]
         steps += ins[1]
         if steps > step_limit:
+            if ins[4] is not None:  # the events within the limit run first
+                _record(ins[4], 0, step_limit - steps + ins[1], codes, stamps, open_regions)
             raise StepLimitExceeded(over)
         ticks += ins[2]
         for dst, a, b, c in ins[3]:
             v = regs[a] + regs[b] + c
             if -(2**63) <= v < 2**63:
                 regs[dst] = v
-            elif dst != _ZERO:
+            elif dst == _ZERO:  # a folded call's depth mark
+                if len(frames) + 1 + v - _MARK > max_depth:
+                    max_depth = len(frames) + 1 + v - _MARK
+            elif dst == _EVENTS:
+                _record(ins[4], ticks - ins[2], ins[1], codes, stamps, open_regions)
+            else:
                 regs[dst] = _wrap(v)
-            elif len(frames) + 1 + v - _MARK > max_depth:  # a folded call's depth mark
-                max_depth = len(frames) + 1 + v - _MARK
         op = ins[0]
         if op == _JNZ:
-            cur = blocks[ins[5] if regs[ins[4]] != 0 else ins[6]]
+            cur = blocks[ins[6] if regs[ins[5]] != 0 else ins[7]]
             ip = 0
         elif op == _JMP:
-            cur = blocks[ins[4]]
+            cur = blocks[ins[5]]
             ip = 0
         elif op == _CALL:
-            frames.append((blocks, ins[6], ins[7], regs, ins[8]))
+            frames.append((blocks, ins[7], ins[8], regs, ins[9]))
             if len(frames) + 1 > max_depth:
                 max_depth = len(frames) + 1
             new_regs = [0] * 17
-            for k, a in enumerate(ins[5]):
+            for k, a in enumerate(ins[6]):
                 new_regs[k] = regs[a]
-            blocks = ins[4]
+            blocks = ins[5]
             regs = new_regs
             cur = blocks[0]
             ip = 0
         elif op <= _HENTER:  # _HREG, _HREGENTER, _HENTER
-            handle = handle_of.get(ins[4])
-            if handle is None and op != _HENTER:
-                handle = monitor.register_region(ins[5])[0]
-                ticks += reg_first
-                if handle == FILTERED_REGION:
-                    # Patch the region's hooks out of every function
-                    # that holds them, in place: call ops and frames
-                    # hold these lists, and enter or jump into the new
-                    # code from here on.  Callers of a function that
+            rid = ins[5]
+            handle = handle_of.get(rid)
+            if op != _HENTER:
+                if handle is None:
+                    handle = monitor.register_region(ins[6])[0]
+                    ticks += reg_first
+                    stale[rid] = 0 if handle == FILTERED_REGION else _TIER_UP
+                else:
+                    stale[rid] -= 1
+                if stale[rid] == 0:
+                    # Fold the region's hooks into the pure runs of every
+                    # function that holds them, in place: call ops and
+                    # frames hold these lists, and enter or jump into the
+                    # new code from here on.  Callers of a function that
                     # became a leaf fold their calls to it.
-                    filtered.add(ins[4])
                     if holders is None:
                         holders, callers = _patch_index(order)
-                    _relower(list(holders[ins[4]]), order, callers, m, code, costs, filtered)
-            if op == _HREG:
-                ip += 1
-                continue
+                    _relower(list(holders[rid]), order, callers, m, code, costs, handle_of)
+                if op == _HREG:
+                    ip += 1
+                    continue
             # The enter, alone or after its register.
             if handle is None:
                 raise TraceError("enter with unregistered handle")
@@ -417,7 +508,7 @@ def execute(
             ip += 1
         elif op != _THROW:  # _HEXIT, _HEXITRET, _RET
             if op != _RET:
-                handle = handle_of.get(ins[4])
+                handle = handle_of.get(ins[5])
                 if handle is None:
                     raise TraceError("exit with unregistered handle")
                 if handle != FILTERED_REGION:

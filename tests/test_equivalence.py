@@ -94,10 +94,6 @@ def _xfail(seed: int, defect: str):
     return pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=defect))
 
 
-_CLOBBERED_R0 = (
-    "ROADMAP item 1(a): the rewritten exit path of a function mixing valued "
-    "and bare ret clobbers the caller's r0"
-)
 _NESTED_CALL_R0 = (
     "ROADMAP item 1(b): a call inside an inlined body writes the caller's "
     "real r0"
@@ -110,8 +106,10 @@ _NESTED_CALL_R0 = (
         *EMPTIED_BY_INLINING,
         _xfail(524, _NESTED_CALL_R0),
         _xfail(1308, _NESTED_CALL_R0),
-        _xfail(1603, _CLOBBERED_R0),
-        _xfail(2437, _CLOBBERED_R0),
+        # A function mixing valued and bare ret clobbered the caller's r0
+        # on its rewritten exit path (ROADMAP item 1(a)).
+        1603,
+        2437,
     ],
 )
 def test_every_variant_keeps_exit_value_and_uncaught(seed):

@@ -200,6 +200,38 @@ class TestEnforceFinally:
             I("hook.exit", 0), I("ret", 15),
         ]
 
+    def test_mixed_rets_get_a_bare_exit_block(self):
+        f = IrFunction(
+            mangled_name="f", file="a.c", begin_line=1, end_line=9,
+            blocks=[
+                BasicBlock(
+                    "e",
+                    [I("hook.register", 0), I("hook.enter", 0), I("jnz", 0, "a", "b")],
+                ),
+                BasicBlock("a", [I("li", 1, 1), I("ret", 1)]),
+                BasicBlock("b", [I("ret")]),
+            ],
+        )
+        out = enforce_finally(f, 0)
+        assert out.block("a").instructions[-2:] == [I("addi", 15, 1, 0), I("jmp", "__fin_ret")]
+        assert out.block("b").instructions == [I("jmp", "__fin_ret_bare")]
+        assert out.block("__fin_ret").instructions == [I("hook.exit", 0), I("ret", 15)]
+        assert out.block("__fin_ret_bare").instructions == [I("hook.exit", 0), I("ret")]
+
+    @pytest.mark.parametrize("mode", ["auto", "plugin"])
+    def test_bare_ret_of_a_mixed_function_keeps_the_callers_r0(self, mode):
+        m = parse_module(
+            'module "m"\n'
+            'func @main file="a.c" lines=1:5\n{\n^e:\n  li r0, 7\n'
+            "  call @_Z1fi, r1\n  ret r0\n}\n"
+            'func @_Z1fi file="a.c" lines=6:12\n{\n^e:\n  jnz r0, ^v, ^b\n'
+            "^v:\n  li r2, 5\n  ret r2\n^b:\n  ret\n}\n"
+        )
+        assert execute(m).exit_value == 7
+        out = instrument_module(m, FilterRuleSet(), mode, O0)[0]
+        assert not validate(out)
+        assert execute(out).exit_value == 7
+
     def test_plain_calls_become_try_edges(self):
         f = _plain_function(
             body=[

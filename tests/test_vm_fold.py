@@ -134,7 +134,7 @@ def test_returned_registers(monkeypatch):
     main = code["main"]
     # Only the call to the leaf that writes its returned register stays.
     calls = [op for block in main for op in block if op[0] == vm._CALL]
-    assert len(calls) == 1 and calls[0][4][0] is code["_Z5wrotei"][0]
+    assert len(calls) == 1 and calls[0][5][0] is code["_Z5wrotei"][0]
     r = vm.execute(m)
     assert r.exit_value == 22 + 0 + 16 + 4
     assert r.max_depth == 2
@@ -264,7 +264,7 @@ def test_self_recursion_is_not_folded(monkeypatch):
     code = _final(monkeypatch, m)
     rec = code["_Z3reci"]
     calls = [op for block in rec for op in block if op[0] == vm._CALL]
-    assert len(calls) == 1 and calls[0][4][0] is rec[0]
+    assert len(calls) == 1 and calls[0][5][0] is rec[0]
     r = vm.execute(m)
     assert (r.exit_value, r.max_depth) == (7 + 3 * 2, 6)  # main, rec(3..0), leaf
     _check(m)

@@ -1,12 +1,14 @@
-"""Patching a runtime-filtered region's hooks out of the lowered code.
+"""Patching a registered region's hooks into the lowered code.
 
-On the first registration of a region that the runtime rules filter,
-``execute`` lowers every function holding that region's hooks again,
-with the hooks folded into the pure runs.  Code that is running when the
-patch lands (the current block, and the resume points that callers'
-frames hold) finishes in the old lowering.  These modules put a patch in
-each of those places, and every run is compared with the per-instruction
-``reference_execute`` of the VM oracle at every step limit.
+On the first registration of a region that the runtime rules filter, and
+once a recorded region's stale ``hook.register`` ops have run
+``vm._TIER_UP`` times, ``execute`` lowers every function holding that
+region's hooks again, with the hooks folded into the pure runs.  Code
+that is running when the patch lands (the current block, and the resume
+points that callers' frames hold) finishes in the old lowering.  These
+modules put a patch in each of those places, and every run is compared
+with the per-instruction ``reference_execute`` of the VM oracle at every
+step limit.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def test_resume_module_shape():
     assert _hooked_functions(m, 1) == ["main", "_Z1gv"]
     # No op of ^b's lowering is a hook, so its jmp is threaded into the call.
     code = {f.mangled_name: [] for f in m.functions}
-    main = vm._lower_function(m.function("main"), m, code, vm.CostModel(), set())
-    assert main[1][-1][0] == vm._CALL and main[1][-1][6] is main[2]
+    main = vm._lower_function(m.function("main"), m, code, vm.CostModel(), {})
+    assert main[1][-1][0] == vm._CALL and main[1][-1][7] is main[2]
 
 
 CASES = [
@@ -193,13 +195,14 @@ def test_patched_runs_match_reference_at_every_step_limit(case, costs):
 
 
 def _lowerings(monkeypatch) -> list[tuple[str, frozenset[int], list]]:
-    """Record every function lowering that ``execute`` makes."""
+    """Record every function lowering that ``execute`` makes, with the
+    regions registered when it was made (none for the first lowering)."""
     made = []
     lower = vm._lower_function
 
-    def recording(f, m, code, costs, filtered):
-        blocks = lower(f, m, code, costs, filtered)
-        made.append((f.mangled_name, frozenset(filtered), blocks))
+    def recording(f, m, code, costs, handles):
+        blocks = lower(f, m, code, costs, handles)
+        made.append((f.mangled_name, frozenset(handles), blocks))
         return blocks
 
     monkeypatch.setattr(vm, "_lower_function", recording)
@@ -211,16 +214,15 @@ def test_patch_relowers_every_holder_once(monkeypatch):
     leaf = _region_of(m, "_Z4leafv")
     made = _lowerings(monkeypatch)
     vm.execute(m, runtime_rules=_exclude("_Z4leafv"))
-    patched = [(name, filtered) for name, filtered, _ in made if filtered]
-    # The leaf's entry op becomes a ret, so its caller main is lowered
-    # again, once, after both holders, and folds its call to the leaf.
-    # The helper's entry op is a jmp still (threading goes one jmp deep),
-    # so its calls stay: the call.try of ^__cont1 and its copy that the
-    # folded call's jmp is threaded into.
-    assert patched == [("_Z4leafv", {leaf}), ("_Z6helperv", {leaf}), ("main", {leaf})]
-    helper = made[-2][2]
-    calls = [op for block in made[-1][2] for op in block if op[0] == vm._CALL]
-    assert [op[4][0] is helper[0] for op in calls] == [True, True]
+    patched = [(name, regions) for name, regions, _ in made if regions]
+    # Both holders' entry ops become rets: the helper's pure body is a
+    # chain of inlined jmps, threaded to its end.  So main, their caller,
+    # is lowered again, once, after both holders, with main's own region
+    # registered, and folds every call.
+    both = {_region_of(m, "main"), leaf}
+    assert patched == [("_Z4leafv", both), ("_Z6helperv", both), ("main", both)]
+    assert [op[0] for op in made[-2][2][0]] == [vm._RET]
+    assert not [op for block in made[-1][2] for op in block if op[0] == vm._CALL]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -235,23 +237,94 @@ def test_execute_lowers_each_function_once_before_the_run(monkeypatch, seed):
         assert sorted(name for name, filtered, _ in made if not filtered) == defined
 
 
-def test_recorded_regions_are_not_patched(monkeypatch):
+# main calls an instrumented leaf VISITS times.
+_LOOP = """module "loop"
+func @main file="a.c" lines=1:9
+{
+^e:
+  li r1, VISITS
+  jmp ^loop
+^loop:
+  call @_Z4leafv
+  addi r1, r1, -1
+  jnz r1, ^loop, ^done
+^done:
+  ret r1
+}
+func @_Z4leafv file="a.c" lines=10:12
+{
+^e:
+  work 2
+  ret
+}
+"""
+
+
+def _loop(visits: int) -> IrModule:
+    m = parse_module(_LOOP.replace("VISITS", str(visits)))
+    return instrument_module(m, FilterRuleSet(), "plugin", O0)[0]
+
+
+def test_recorded_region_below_the_tier_up_is_never_lowered_again(monkeypatch):
+    # The leaf's hook.register is stale on every visit after the first.
     made = _lowerings(monkeypatch)
-    vm.execute(_instrumented(_TWO_HOLDERS)[1])
-    assert all(not filtered for _, filtered, _ in made)
+    r = vm.execute(_loop(vm._TIER_UP))
+    assert [name for name, regions, _ in made if regions] == []
+    assert [e.kind for e in r.events].count("E") == 1 + vm._TIER_UP  # main, and each visit
 
 
-def _filtered_compute(seed: int):
-    """The hotloop module and leaf filter of the benchmark's
-    ``filtered_compute`` workload."""
+@pytest.mark.parametrize("visits", [1, 3])
+def test_recorded_region_at_the_tier_up_is_lowered_again_once(monkeypatch, visits):
+    m = _loop(1 + visits * vm._TIER_UP)
+    made = _lowerings(monkeypatch)
+    vm.execute(m)
+    # The leaf, its one holder, then main, whose callee became a leaf.
+    assert [name for name, regions, _ in made if regions] == ["_Z4leafv", "main"]
+    leaf, main = made[-2][2], made[-1][2]
+    assert [op[0] for op in leaf[0]] == [vm._RET] and len(leaf[0][0][4]) == 2
+    assert vm._CALL not in [op[0] for block in main for op in block]
+    monkeypatch.undo()
+    assert _outcome(vm.execute, m) == _outcome(reference_execute, m)
+
+
+def _workload(name: str, seed: int):
+    """The benchmark's workload ``name`` at ``seed``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up by name.
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    w = workloads.filtered_compute(seed)
+    return getattr(workloads, name)(seed)
+
+
+def _filtered_compute(seed: int):
+    """The hotloop module and leaf filter of the benchmark's
+    ``filtered_compute`` workload."""
+    w = _workload("filtered_compute", seed)
     return w.files["app.ir"], w.files["leaf.flt"]
+
+
+def test_trace_loop_leaf_lowers_to_one_ret_with_two_events(monkeypatch):
+    w = _workload("trace_loop", 3)
+    m = instrument_module(parse_module(w.files["app.ir"]), FilterRuleSet(), "plugin", O0)[0]
+    made = _lowerings(monkeypatch)
+    r = vm.execute(m)
+    main = m.function("main")
+    leaf = main.block("inner").instructions[0].args[0]
+    upd = next(f.mangled_name for f in m.functions if "no_inline" in f.attrs)
+    # The leaf tiers up in the fourth outer iteration, and main, its
+    # caller, with it; the update function, visited once per outer
+    # iteration, later.
+    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd]
+    relowered = {name: blocks for name, regions, blocks in made if regions}
+    (op,) = relowered[leaf][0]
+    handle = next(d.handle for d in r.events.definitions if d.descriptor.canonical_name == leaf)
+    assert op[0] == vm._RET and [code for code, _, _ in op[4]] == [handle, -handle]
+    at = {b.label: i for i, b in enumerate(main.blocks)}
+    inner = relowered["main"][at["inner"]]
+    assert [op[0] for op in inner] == [vm._JNZ]
+    assert [code for code, _, _ in inner[0][4]] == [handle, -handle]
 
 
 def test_filtered_compute_leaf_lowers_to_one_op_without_hooks(monkeypatch):
@@ -281,9 +354,11 @@ def test_filtered_compute_inner_loop_lowers_to_one_jnz(monkeypatch):
     vm.execute(m, runtime_rules=rules)
     # The patch turns the leaf's entry op into a ret, so main, its caller,
     # is lowered again: the call.try folds into a jmp, which is threaded
-    # into ^__cont2's jnz.
-    assert [name for name, filtered, _ in made if filtered] == [leaf, "main"]
-    main, leaf_op = made[-1][2], made[-2][2][0][0]
+    # into ^__cont2's jnz.  The recorded update function tiers up later.
+    upd = next(f.mangled_name for f in m.functions if "no_inline" in f.attrs)
+    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd]
+    relowered = {name: blocks for name, regions, blocks in made if regions}
+    main, leaf_op = relowered["main"], relowered[leaf][0][0]
     at = {b.label: i for i, b in enumerate(m.function("main").blocks)}
     inner, cont = main[at["inner"]], main[at["__cont2"]]
     assert [op[0] for op in inner] == [vm._JNZ] and [op[0] for op in cont] == [vm._JNZ]
