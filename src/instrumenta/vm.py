@@ -105,7 +105,14 @@ class ExecutionResult:
 # (_ZERO, _ZERO, _ZERO, _MARK + d): d frames beyond the current one.
 # Its sum is out of range, and _ZERO is never written, so the update
 # loop meets a mark only on its wrapping branch.
-_JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _THROW, _HEXIT, _HEXITRET, _RET = range(10)
+#
+# A block whose one op is a _JNZ back to the block itself is a counted
+# self-loop when every register the op writes steps by a fixed amount
+# per iteration and its events balance within one iteration (see
+# _summary).  Its back edge is then retargeted to a block of its own,
+# after the function's blocks, that holds one _LOOP op: taking the back
+# edge once runs the rest of the loop at once (see _batch).
+_JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _HEXIT, _HEXITRET, _RET, _THROW, _LOOP = range(11)
 _ZERO = 16
 _EVENTS = 17
 _MARK = 1 << 63
@@ -158,6 +165,62 @@ def _threaded(jmp: tuple, to: tuple) -> tuple:
     return (to[0], jmp[1] + to[1], jmp[2] + to[2], tuple(updates), tuple(events) or None, *to[5:])
 
 
+def _summary(op: tuple, i: int) -> tuple | None:
+    """The _LOOP op of ``op``, the one op of block ``i`` and a _JNZ back to
+    it, or None when the loop is not counted.
+
+    Each register the op writes must be an induction (r := r + c), a
+    constant, or one induction (an unwritten register steps by 0) plus a
+    constant.  Once the op has run, every register then moves by a fixed
+    step per further iteration, which is exact modulo 2**64, so
+    registers wrap once at the end of a batch.  Its events must balance
+    within one iteration, so that after the first one every further
+    iteration passes the same exit checks."""
+    open_regions = []
+    for code, _, _ in op[4] or ():
+        if code > 0:
+            open_regions.append(code)
+        elif not open_regions or open_regions.pop() != -code:
+            return None
+    if open_regions:
+        return None
+    # Register -> (source, offset): its value after one iteration is the
+    # source's value before it (0 for None) plus the offset.
+    start: dict[int, tuple[int | None, int]] = {}
+    for dst, a, b, c in op[3]:
+        if dst >= _ZERO:  # a depth mark or the events entry
+            continue
+        src = None
+        for r in (a, b):
+            if r != _ZERO:
+                s, k = start.get(r, (r, 0))
+                if s is not None:
+                    if src is not None:  # the sum of two registers
+                        return None
+                    src = s
+                c += k
+        start[dst] = (src, c)
+    # Register -> its step; a constant steps by 0 once the op has run.
+    step = {}
+    for r, (src, k) in start.items():
+        if src == r:  # an induction
+            step[r] = k
+        elif src is not None:  # an induction plus a constant
+            s, d = start.get(src, (src, 0))
+            if s == src:
+                step[r] = d
+            elif s is not None:  # a register two writes away
+                return None
+    # (_LOOP, 0, 0, (), None, loop block, exit block, counter, the
+    #  _solver of its step, the moving registers' (register, step),
+    #  steps and ticks of one iteration, its events as (code, tick offset)).
+    return (
+        _LOOP, 0, 0, (), None, i, op[7], op[5], _solver(step.get(op[5], 0)),
+        tuple((r, d) for r, d in step.items() if d & _I64_MASK),
+        op[1], op[2], tuple((code, dt) for code, dt, _ in op[4] or ()),
+    )
+
+
 def _lower_function(
     f: IrFunction,
     m: IrModule,
@@ -169,7 +232,7 @@ def _lower_function(
     ``handles`` (the Monitor's region -> handle map) holds and the calls
     to leaves already in ``code`` among them; resolve labels to block
     indices, call targets to code lists and a call's resume point to a
-    block object."""
+    block object; give each counted self-loop its summary block."""
     label_idx = {b.label: i for i, b in enumerate(f.blocks)}
     blocks: list[list[tuple]] = [[] for _ in f.blocks]
     base = costs.base_instruction
@@ -289,6 +352,17 @@ def _lower_function(
             to = blocks[jmp[5]][0]
             if to[0] not in _STAYS:
                 blocks[i][-1] = _threaded(jmp, to)
+    # The summary of block i's self-loop goes at len(f.blocks) + i, so
+    # that the back edge of a block from an earlier lowering, which a
+    # frame may resume into after a patch, finds the same loop there.
+    n = len(blocks)
+    loops = [i for i, b in enumerate(blocks) if b[0][0] == _JNZ and b[0][6] == i and len(b) == 1]
+    for i in loops:
+        summary = _summary(blocks[i][0], i)
+        if summary:
+            blocks += [[]] * (n + i - len(blocks))
+            blocks.append([summary])
+            blocks[i][0] = (*blocks[i][0][:6], n + i, blocks[i][0][7])
     return blocks
 
 
@@ -307,6 +381,55 @@ def _record(events: tuple, t0: int, room: int, codes, stamps, open_regions) -> N
                 raise UnbalancedExitError(f"exit for handle {-code} while top of stack is {top}")
         codes.append(code)
         stamps.append(t0 + dt)
+
+
+def _solver(beta: int) -> tuple[int, int, int] | None:
+    """What solving alpha + beta * k = 0 (mod 2**64) for k needs of beta:
+    g = gcd(beta, 2**64), m = 2**64 // g and the inverse of beta // g
+    modulo m; None when beta = 0 (mod 2**64)."""
+    beta &= _I64_MASK
+    g = beta & -beta
+    if not g:
+        return None
+    m = (1 << 64) // g
+    return g, m, pow(beta // g, -1, m)
+
+
+def _trip_count(alpha: int, solver: tuple[int, int, int] | None) -> int | None:
+    """The least k >= 1 with alpha + beta * k = 0 (mod 2**64), for the
+    beta of ``solver``, or None.  ``alpha`` is a nonzero i64, so k = 0 is
+    never a solution."""
+    if solver is None or alpha % solver[0]:
+        return None
+    g, m, inverse = solver
+    return -alpha // g * inverse % m
+
+
+def _batch(loop: tuple, regs: list[int], room: int, t0: int, codes, stamps) -> tuple[int, int]:
+    """Run the rest of the self-loop that the _LOOP op ``loop`` summarises,
+    after its op has run once and taken the back edge at tick ``t0``: as
+    many iterations as its counter asks for and ``room`` steps allow.
+    Apply them to ``regs`` and append their events as interleaved
+    progressions; return their number and the block to go on at: the
+    loop's exit, or the loop itself when the steps run out first, where
+    the next iteration stops at the step limit as it would unbatched."""
+    _, _, _, _, _, at, out, counter, solver, moving, steps, ticks, events = loop
+    cap = room // steps
+    n = _trip_count(regs[counter], solver)
+    if n is None or n > cap:
+        n, out = cap, at
+    for r, d in moving:
+        regs[r] = _wrap(regs[r] + n * d)
+    if events and n:
+        k = len(events)
+        first = len(codes)
+        pad = [0] * (n * k)
+        codes += pad
+        stamps += pad
+        for j, (code, dt) in enumerate(events, first):
+            codes[j::k] = [code] * n
+            stamps[j::k] = range(t0 + dt, t0 + dt + n * ticks, ticks)
+    return n, out
 
 
 def _callees(f: IrFunction) -> list[str]:
@@ -441,7 +564,9 @@ def execute(
         steps += ins[1]
         if steps > step_limit:
             if ins[4] is not None:  # the events within the limit run first
-                _record(ins[4], 0, step_limit - steps + ins[1], codes, stamps, open_regions)
+                _record(ins[4], ticks, step_limit - steps + ins[1], codes, stamps, open_regions)
+            if ins[0] == _HREGENTER and steps - 1 == step_limit:  # and the register
+                monitor.register_region(ins[6])
             raise StepLimitExceeded(over)
         ticks += ins[2]
         for dst, a, b, c in ins[3]:
@@ -506,7 +631,7 @@ def execute(
             else:
                 ticks += guard
             ip += 1
-        elif op != _THROW:  # _HEXIT, _HEXITRET, _RET
+        elif op < _THROW:  # _HEXIT, _HEXITRET, _RET
             if op != _RET:
                 handle = handle_of.get(ins[5])
                 if handle is None:
@@ -539,7 +664,7 @@ def execute(
             blocks, cur, ip, regs, _ = frames.pop()
             if value is not None:
                 regs[0] = value
-        else:
+        elif op == _THROW:
             while frames:
                 blocks, cur, ip, regs, unwind = frames.pop()
                 if unwind is not None:
@@ -550,6 +675,12 @@ def execute(
                 exit_value = None
                 uncaught = True
                 break
+        else:  # _LOOP: the back edge of a counted self-loop, taken once
+            n, to = _batch(ins, regs, step_limit - steps, ticks, codes, stamps)
+            steps += n * ins[10]
+            ticks += n * ins[11]
+            cur = blocks[to]
+            ip = 0
 
     if open_regions:
         raise TraceError(f"run ends with {len(open_regions)} open region(s)")

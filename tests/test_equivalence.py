@@ -72,8 +72,7 @@ def test_instrument_module_emits_valid_modules(mode, level):
     assert not bad, f"invalid {mode} output for seeds {bad}"
 
 
-def _mismatched_variants(seed: int) -> list[str]:
-    m = _module(seed)
+def _mismatched_variants(m: IrModule) -> list[str]:
     ref = execute(m)
     expected = (ref.exit_value, ref.uncaught)
     out = []
@@ -113,7 +112,13 @@ _NESTED_CALL_R0 = (
     ],
 )
 def test_every_variant_keeps_exit_value_and_uncaught(seed):
-    assert _mismatched_variants(seed) == []
+    assert _mismatched_variants(_module(seed)) == []
+
+
+@pytest.mark.parametrize("seed", range(0, 3000, 60))
+def test_every_variant_keeps_exit_value_on_a_stride_of_seeds(seed):
+    """Seeds 0-2,999 are swept in full by ``tests/sweep_variants.py``."""
+    assert _mismatched_variants(_module(seed)) == []
 
 
 @pytest.mark.parametrize("seed", EMPTIED_BY_INLINING)
