@@ -207,10 +207,9 @@ def _summary(op: tuple, i: int) -> tuple | None:
             step[r] = k
         elif src is not None:  # an induction plus a constant
             s, d = start.get(src, (src, 0))
-            if s == src:
-                step[r] = d
-            elif s is not None:  # a register two writes away
+            if s != src:  # read before the op writes it, not as an induction
                 return None
+            step[r] = d
     # (_LOOP, 0, 0, (), None, loop block, exit block, counter, the
     #  _solver of its step, the moving registers' (register, step),
     #  steps and ticks of one iteration, its events as (code, tick offset)).

@@ -8,12 +8,11 @@ seeds 0-999.  Tier-1 runs only a stride of these seeds.  The seeds in
 ``EXPECTED_FAILURES`` must fail, as strict xfails do; the script exits 1
 when any other seed fails or one of those passes.
 
-    PYTHONPATH=src python tests/sweep_variants.py [--terminating N] [--looping N]
+    PYTHONPATH=src python tests/sweep_variants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 import time
@@ -24,14 +23,10 @@ from test_equivalence import _NESTED_CALL_R0, _mismatched_variants, _module
 EXPECTED_FAILURES = {("terminating", 524): _NESTED_CALL_R0, ("terminating", 1308): _NESTED_CALL_R0}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--terminating", type=int, default=3000, help="seeds of terminating_module")
-    parser.add_argument("--looping", type=int, default=1000, help="seeds of looping_module")
-    args = parser.parse_args(argv)
+def main() -> int:
     generators = {
-        "terminating": (_module, args.terminating),
-        "looping": (lambda seed: gens.looping_module(random.Random(seed)), args.looping),
+        "terminating": (_module, 3000),
+        "looping": (lambda seed: gens.looping_module(random.Random(seed)), 1000),
     }
     failed = 0
     for name, (generate, seeds) in generators.items():

@@ -340,23 +340,48 @@ def test_frame_resumes_into_an_older_lowering_of_a_loop(monkeypatch, batches):
     assert {(3, False), (2, False)} <= {(b.n, b.cut) for b in batches}
 
 
+def _refused(before: str, body: str, returned: str = "r1") -> str:
+    """``_COUNT`` from 0 to 6 with ``before`` ahead of the loop, ``body``
+    in place of ``work 2``, returning ``returned``."""
+    text = _COUNT.replace("work 2", f"hook.register 1\n  {body}").replace("ret r1", f"ret {returned}")
+    text = text.replace("  li r1, START\n", "  li r1, START\n" + before)
+    text = text.replace("START", "0").replace("STEP", "1").replace("-END", "-6")
+    return text + 'regions:\nregion 1 name="main" canonical="main" file="a.c" lines=1:9 flags=0\n'
+
+
 # Loops a summary refuses: a sum of two registers, a register two
-# writes away, an enter without its exit, and an exit of a region that
-# main entered before the loop, once for each iteration.
+# writes away, an enter without its exit, an exit of a region that main
+# entered before the loop, once for each iteration, and a register read
+# before the loop writes it as a constant.  In the ``read_before_li``
+# shapes the returned r5, or the jnz register r3, is 2 after the first
+# iteration and 0 after every later one; the second loop is entered by
+# a jnz, so its first iteration is not threaded into the entry block.
 _REFUSED = {
-    "sum": ("", "add r5, r5, r5"),
-    "two_writes": ("", "addi r5, r6, 1\n  addi r6, r1, 3"),
-    "enter_only": ("", "hook.enter 1"),
-    "exit_only": ("  hook.register 1\n" + "  hook.enter 1\n" * 6, "hook.exit 1"),
+    "sum": _refused("", "add r5, r5, r5"),
+    "two_writes": _refused("", "addi r5, r6, 1\n  addi r6, r1, 3"),
+    "enter_only": _refused("", "hook.enter 1"),
+    "exit_only": _refused("  hook.register 1\n" + "  hook.enter 1\n" * 6, "hook.exit 1"),
+    "read_before_li": _refused("  li r6, 7\n", "addi r5, r6, -5\n  li r6, 5", "r5"),
+    "counter_read_before_li": """module "late"
+func @main file="a.c" lines=1:9
+{
+^e:
+  li r4, 7
+  li r1, 1
+  jnz r1, ^loop, ^done
+^loop:
+  addi r3, r4, -5
+  li r4, 5
+  jnz r3, ^loop, ^done
+^done:
+  ret r3
+}
+""",
 }
 
 
-@pytest.mark.parametrize("before, body", _REFUSED.values(), ids=_REFUSED)
-def test_refused_loops_run_op_by_op(monkeypatch, batches, before, body):
-    text = _COUNT.replace("work 2", f"hook.register 1\n  {body}")
-    text = text.replace("  li r1, START\n", "  li r1, START\n" + before)
-    text = text.replace("START", "0").replace("STEP", "1").replace("-END", "-6")
-    text += 'regions:\nregion 1 name="main" canonical="main" file="a.c" lines=1:9 flags=0\n'
+@pytest.mark.parametrize("text", _REFUSED.values(), ids=_REFUSED)
+def test_refused_loops_run_op_by_op(monkeypatch, batches, text):
     m = parse_module(text)
     _sweep(m, cap=80)
     monkeypatch.setattr(vm, "_TIER_UP", 0)
