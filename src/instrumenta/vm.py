@@ -100,7 +100,10 @@ class ExecutionResult:
 # A call to a defined function whose entry op is a _RET (a leaf) is
 # pure as well: that op is all the callee runs.  The call adds its own
 # step and tick and the leaf op's to the run, the leaf op's events, and,
-# for ``ret rk``, the update r0 := the caller's argument k.  The frame
+# for ``ret rk``, the update r0 := rk's value at the ret, which the
+# leaf op's writes make a constant or one of the caller's arguments
+# plus a constant (a leaf that returns a sum of two registers is not
+# folded; see _symbolic).  The frame
 # the call would have pushed is recorded as a depth mark, the update
 # (_ZERO, _ZERO, _ZERO, _MARK + d): d frames beyond the current one.
 # Its sum is out of range, and _ZERO is never written, so the update
@@ -112,6 +115,19 @@ class ExecutionResult:
 # _summary).  Its back edge is then retargeted to a block of its own,
 # after the function's blocks, that holds one _LOOP op: taking the back
 # edge once runs the rest of the loop at once (see _batch).
+#
+# A jmp threaded into such a loop makes an op that ends with the loop's
+# first iteration.  When that op's writes (after those of the hooks
+# ahead of it in its block) leave the loop's counter at a constant,
+# lowering solves the rest of the trip count n there and
+# collapses the loop into the op (see _collapsed): n more iterations'
+# steps and ticks, one write r := r + n * step per moving register, n
+# shifted copies of the iteration's events, and a _JMP to the loop's
+# exit, which is threaded in turn.  So a loop nested in another's body
+# leaves that body one op, a self-loop itself, and a function whose
+# loops all collapse can become a leaf.  A collapse that would add more
+# than _ABSORBED events is left to _batch, so an op never holds a
+# long run's trace.
 _JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _HEXIT, _HEXITRET, _RET, _THROW, _LOOP = range(11)
 _ZERO = 16
 _EVENTS = 17
@@ -124,6 +140,9 @@ _STAYS = (_HREG, _HREGENTER, _HENTER, _HEXIT)
 # holders are lowered again.  Lowering every region again at its first
 # registration costs more than it saves on a rarely visited one.
 _TIER_UP = 64
+# Events a loop collapsed at lowering may add to its op; a loop that
+# would add more is left to run in batches.
+_ABSORBED = 64
 
 
 def _wrap(v: int) -> int:
@@ -140,17 +159,19 @@ def _leaf_call(callee: list[list[tuple]], call: Instruction, base: int) -> tuple
     """(steps, ticks, updates, events) that ``call`` adds to its run when
     ``callee`` is a leaf, the events as the leaf op has them, or None when
     the call is not folded: the callee is not a leaf, is not lowered yet
-    (the call is recursive), or writes the register it returns."""
+    (the call is recursive), or returns the sum of two registers."""
     if not callee or callee[0][0][0] != _RET:
         return None
     _, steps, ticks, updates, events, rk = callee[0][0]
     depth = 1 + max((c - _MARK for dst, _, _, c in updates if dst == _ZERO), default=0)
     out = [(_ZERO, _ZERO, _ZERO, _MARK + depth)]
     if rk is not None:
-        if any(dst == rk for dst, *_ in updates):
+        value = _symbolic(updates).get(rk, (rk, 0))
+        if value is None:
             return None
+        src, k = value
         arg_regs = call.call_arg_regs()
-        out.append((0, arg_regs[rk] if rk < len(arg_regs) else _ZERO, _ZERO, 0))
+        out.append((0, arg_regs[src] if src is not None and src < len(arg_regs) else _ZERO, _ZERO, k))
     return steps, base + ticks, out, events
 
 
@@ -163,6 +184,27 @@ def _threaded(jmp: tuple, to: tuple) -> tuple:
     if events:
         updates = [u for u in updates if u[0] != _EVENTS] + [_RECORD]
     return (to[0], jmp[1] + to[1], jmp[2] + to[2], tuple(updates), tuple(events) or None, *to[5:])
+
+
+def _symbolic(updates: tuple) -> dict[int, tuple[int | None, int] | None]:
+    """Register -> (source, offset) for each register ``updates`` write:
+    its value after them is the source's value before them (0 for None)
+    plus the offset, modulo 2**64, or None for the sum of two registers."""
+    value: dict[int, tuple[int | None, int] | None] = {}
+    for dst, a, b, c in updates:
+        if dst >= _ZERO:  # a depth mark or the events entry
+            continue
+        src = None
+        for r in (a, b):
+            if r != _ZERO:
+                v = value.get(r, (r, 0))
+                if v is None or v[0] is not None and src is not None:
+                    src = c = None
+                    break
+                src = src if v[0] is None else v[0]
+                c += v[1]
+        value[dst] = None if c is None else (src, _wrap(c))
+    return value
 
 
 def _summary(op: tuple, i: int) -> tuple | None:
@@ -184,22 +226,9 @@ def _summary(op: tuple, i: int) -> tuple | None:
             return None
     if open_regions:
         return None
-    # Register -> (source, offset): its value after one iteration is the
-    # source's value before it (0 for None) plus the offset.
-    start: dict[int, tuple[int | None, int]] = {}
-    for dst, a, b, c in op[3]:
-        if dst >= _ZERO:  # a depth mark or the events entry
-            continue
-        src = None
-        for r in (a, b):
-            if r != _ZERO:
-                s, k = start.get(r, (r, 0))
-                if s is not None:
-                    if src is not None:  # the sum of two registers
-                        return None
-                    src = s
-                c += k
-        start[dst] = (src, c)
+    start = _symbolic(op[3])
+    if None in start.values():  # the sum of two registers
+        return None
     # Register -> its step; a constant steps by 0 once the op has run.
     step = {}
     for r, (src, k) in start.items():
@@ -220,6 +249,35 @@ def _summary(op: tuple, i: int) -> tuple | None:
     )
 
 
+def _collapsed(op: tuple, loop: tuple, ahead: list[tuple]) -> tuple | None:
+    """``op``, a jmp threaded into the self-loop that the _LOOP op ``loop``
+    summarises (so its run ends with the loop's first iteration), with the
+    rest of the loop folded in: a _JMP to the loop's exit.  None when the
+    loop's counter after ``op`` is not a constant, the loop never ends
+    from it, or the rest would add more than _ABSORBED events.  The runs
+    of the ops ``ahead`` of ``op`` in its block count too when they are
+    hooks that go on to the next op, such as an entry block's register
+    and enter after its ``li``: ``op`` then always runs after them."""
+    _, _, _, _, _, _, out, counter, solver, moving, steps, ticks, events = loop
+    if any(o[0] not in _STAYS for o in ahead):
+        ahead = []
+    value = _symbolic([u for o in ahead for u in o[3]] + list(op[3])).get(counter, (counter, 0))
+    if value is None or value[0] is not None:
+        return None
+    n = _trip_count(value[1], solver) if value[1] else 0
+    if n is None or n * len(events) > _ABSORBED:
+        return None
+    updates = [u for u in op[3] if u[0] != _EVENTS]
+    if n:
+        updates += [(r, r, _ZERO, _wrap(n * d)) for r, d in moving]
+    more = ()
+    if op[4]:  # the first iteration's events end the op's, then n copies
+        last = op[4][len(op[4]) - len(events):]
+        more = tuple((code, dt + j * ticks, ds + j * steps) for j in range(1, n + 1) for code, dt, ds in last)
+        updates.append(_RECORD)
+    return (_JMP, op[1] + n * steps, op[2] + n * ticks, tuple(updates), op[4] and op[4] + more, out)
+
+
 def _lower_function(
     f: IrFunction,
     m: IrModule,
@@ -231,7 +289,8 @@ def _lower_function(
     ``handles`` (the Monitor's region -> handle map) holds and the calls
     to leaves already in ``code`` among them; resolve labels to block
     indices, call targets to code lists and a call's resume point to a
-    block object; give each counted self-loop its summary block."""
+    block object; give each counted self-loop its summary block, and
+    collapse it into a jmp that enters it with a known trip count."""
     label_idx = {b.label: i for i, b in enumerate(f.blocks)}
     blocks: list[list[tuple]] = [[] for _ in f.blocks]
     base = costs.base_instruction
@@ -331,37 +390,48 @@ def _lower_function(
     # leaves its block (or resumes at a fixed place).  Nothing in the jmp
     # and its run can fail but an exit event, which the interpreter
     # checks in order, so one step check at the sum of their steps is
-    # the target op's own check.  A chain of jmps is threaded from its
-    # far end, so it collapses into one op; a jmp that closes a cycle of
-    # jmps is left as it is.
-    done = [False] * len(blocks)
-    for i, lowered in enumerate(blocks):
-        if lowered[-1][0] != _JMP or done[i]:
-            continue
-        chain = []
-        while lowered[-1][0] == _JMP and not done[i]:
-            done[i] = True
-            chain.append(i)
-            i = lowered[-1][5]
-            lowered = blocks[i]
-        if i in chain:  # a jmp cycle, left open where it closes
-            chain.pop()
-        for i in reversed(chain):
-            jmp = blocks[i][-1]
-            to = blocks[jmp[5]][0]
-            if to[0] not in _STAYS:
-                blocks[i][-1] = _threaded(jmp, to)
-    # The summary of block i's self-loop goes at len(f.blocks) + i, so
-    # that the back edge of a block from an earlier lowering, which a
-    # frame may resume into after a patch, finds the same loop there.
+    # the target op's own check.  A block is settled after the block its
+    # jmp targets, so a chain of jmps collapses into one op; a jmp that
+    # closes a cycle of jmps is left as it is.  A settled self-loop gets
+    # its summary, and a jmp threaded into a summarised loop may collapse
+    # the loop (see _collapsed); the resulting jmp to the loop's exit is
+    # threaded in turn.  The summary of block i's self-loop goes at
+    # len(f.blocks) + i, so that the back edge of a block from an earlier
+    # lowering, which a frame may resume into after a patch, finds the
+    # same loop there.
     n = len(blocks)
-    loops = [i for i, b in enumerate(blocks) if b[0][0] == _JNZ and b[0][6] == i and len(b) == 1]
-    for i in loops:
-        summary = _summary(blocks[i][0], i)
-        if summary:
-            blocks += [[]] * (n + i - len(blocks))
-            blocks.append([summary])
-            blocks[i][0] = (*blocks[i][0][:6], n + i, blocks[i][0][7])
+    loops: dict[int, tuple] = {}  # loop block -> its summary
+    collapsed: set[tuple[int, int]] = set()  # (block, loop) pairs
+    state = [0] * n  # 0: not settled, 1: on the stack, 2: settled
+    for root in range(n):
+        stack = [] if state[root] else [root]
+        while stack:
+            i = stack[-1]
+            state[i] = 1
+            op = blocks[i][-1]
+            to = op[5] if op[0] == _JMP else None
+            if to is not None and not state[to]:
+                stack.append(to)
+                continue
+            if to is not None and state[to] == 2 and blocks[to][0][0] not in _STAYS:
+                op = blocks[i][-1] = _threaded(op, blocks[to][0])
+                # A loop met twice on the way is an endless run.
+                if to in loops and (i, to) not in collapsed:
+                    rest = _collapsed(op, loops[to], blocks[i][:-1])
+                    if rest:  # go on at the loop's exit
+                        blocks[i][-1] = rest
+                        collapsed.add((i, to))
+                        continue
+            stack.pop()
+            state[i] = 2
+            if len(blocks[i]) == 1 and op[0] == _JNZ and op[6] == i:
+                summary = _summary(op, i)
+                if summary:
+                    loops[i] = summary
+                    blocks[i][0] = (*op[:6], n + i, op[7])
+    for i, summary in sorted(loops.items()):
+        blocks += [[]] * (n + i - len(blocks))
+        blocks.append([summary])
     return blocks
 
 

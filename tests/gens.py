@@ -264,8 +264,9 @@ def looping_module(rng: random.Random) -> IrModule:
     and may throw out of the loop to a caller that catches.  Some
     counters start near -2**63 or 2**63 - 1 and wrap.  Main often calls
     the leaf from a loop of 65 to 200 trips, so that its region passes
-    the VM's tier-up count.  The call graph is a DAG, as in
-    ``terminating_module``."""
+    the VM's tier-up count, and sometimes ends in a loop whose counter
+    reads a register before the loop writes it as a constant.  The call
+    graph is a DAG, as in ``terminating_module``."""
     n = rng.randint(2, 4)
     names = ["main"] + [f"_Z2f{i}v" if rng.random() < 0.7 else f"fn{i}" for i in range(1, n)]
     names.append("_Z4leafv")
@@ -321,6 +322,19 @@ def looping_module(rng: random.Random) -> IrModule:
                 blocks=fb.blocks,
             )
         )
+    if rng.random() < 0.3:
+        # Before main returns, a self-loop entered by a jnz whose counter
+        # r8 reads r9 before the loop writes r9 as a constant: r8 is r9's
+        # entry value minus 5 after the first iteration and 0 after the
+        # second.  r8 and r9 are dead there, and the draw comes last, so
+        # the rest of the module is what it would be without it.
+        main = functions[-1]
+        ret = main.blocks[-1].instructions.pop()
+        main.blocks[-1].instructions += [I("li", 9, rng.randint(-9, 9)), I("li", 8, 1), I("jnz", 8, "stale", "fin")]
+        main.blocks += [
+            BasicBlock("stale", [I("addi", 8, 9, -5), I("li", 9, 5), I("jnz", 8, "stale", "fin")]),
+            BasicBlock("fin", [ret]),
+        ]
     module.functions += reversed(functions)
     return module
 

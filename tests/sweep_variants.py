@@ -4,7 +4,9 @@ Runs the check of ``test_equivalence.test_every_variant_keeps_exit_value_and_unc
 (``inline_pass`` alone, auto and plugin mode, at O0-O3, under three
 runtime filters, must keep each program's exit value and uncaught status)
 over ``gens.terminating_module`` seeds 0-2,999 and ``gens.looping_module``
-seeds 0-999.  Tier-1 runs only a stride of these seeds.  The seeds in
+seeds 0-999, the looping seeds a second time with the VM's tier-up count
+at 0, so that recorded regions are folded at their first registration.
+Tier-1 runs only a stride of these seeds.  The seeds in
 ``EXPECTED_FAILURES`` must fail, as strict xfails do; the script exits 1
 when any other seed fails or one of those passes.
 
@@ -18,18 +20,25 @@ import sys
 import time
 
 import gens
+from instrumenta import vm
 from test_equivalence import _NESTED_CALL_R0, _mismatched_variants, _module
 
 EXPECTED_FAILURES = {("terminating", 524): _NESTED_CALL_R0, ("terminating", 1308): _NESTED_CALL_R0}
 
 
+def _looping(seed: int):
+    return gens.looping_module(random.Random(seed))
+
+
 def main() -> int:
-    generators = {
-        "terminating": (_module, 3000),
-        "looping": (lambda seed: gens.looping_module(random.Random(seed)), 1000),
-    }
+    sweeps = [
+        ("terminating", _module, 3000, vm._TIER_UP),
+        ("looping", _looping, 1000, vm._TIER_UP),
+        ("looping, tier-up 0", _looping, 1000, 0),
+    ]
     failed = 0
-    for name, (generate, seeds) in generators.items():
+    for name, generate, seeds, tier_up in sweeps:
+        vm._TIER_UP = tier_up
         start = time.perf_counter()
         for seed in range(seeds):
             bad = _mismatched_variants(generate(seed))

@@ -274,8 +274,18 @@ def test_trace_loop_inner_loop_takes_the_batch(monkeypatch, batches):
     (summary,) = main[inner[6]]
     assert summary[0] == vm._LOOP and summary[5] == at["inner"]
     assert [code for code, _ in summary[12]] == [code for code, _, _ in inner[4]]
-    # 18 iterations of 20 per outer iteration once the leaf has tiered up.
-    assert [(b.n, b.cut) for b in batches].count((18, False)) > 4900
+    # Once the leaf has tiered up, ^__cont1's jmp into the inner loop
+    # collapses it: the op holds all 20 iterations' events and goes on
+    # into ^outer_next's jnz.  So once the update function has tiered up
+    # and become a leaf, ^outer is a self-loop too, and takes one batch
+    # of the outer iterations left after the first one in its new op.
+    (cont,) = main[at["__cont1"]]
+    assert cont[0] == vm._JNZ and cont[6] == at["outer"]
+    assert [code for code, _, _ in cont[4]] == [code for code, _ in summary[12]] * 20
+    (outer,) = main[at["outer"]]
+    (loop,) = main[outer[6]]
+    assert loop[0] == vm._LOOP and loop[5] == at["outer"] and len(loop[12]) == 2 + 40
+    assert [(b.n, b.cut) for b in batches if b.n > 18] == [(5000 - vm._TIER_UP - 2, False)]
     assert r.exit_value == _outcome(reference_execute, m)[0]
 
 

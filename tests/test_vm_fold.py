@@ -81,8 +81,8 @@ def test_plain_call_and_call_try_fold(monkeypatch):
 
 
 # ``ret rk`` of an argument register, of a register nobody set (0, and
-# the caller's r0 is overwritten), of a register the leaf writes (not
-# folded), and a bare ret (the caller's r0 is kept).
+# the caller's r0 is overwritten), of a register the leaf writes (the
+# argument plus 5), and a bare ret (the caller's r0 is kept).
 _RETURNS = """module "returns"
 func @main file="a.c" lines=1:20
 {
@@ -132,9 +132,9 @@ def test_returned_registers(monkeypatch):
     m = parse_module(_RETURNS)
     code = _final(monkeypatch, m)
     main = code["main"]
-    # Only the call to the leaf that writes its returned register stays.
-    calls = [op for block in main for op in block if op[0] == vm._CALL]
-    assert len(calls) == 1 and calls[0][5][0] is code["_Z5wrotei"][0]
+    # Every call folds, the one to the leaf that writes its returned
+    # register too.
+    assert [op[0] for block in main for op in block] == [vm._RET]
     r = vm.execute(m)
     assert r.exit_value == 22 + 0 + 16 + 4
     assert r.max_depth == 2

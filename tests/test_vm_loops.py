@@ -6,7 +6,8 @@ on a derived register, nested, calling functions, externs and a leaf,
 throwing to a caller, and starting near +-2**63 so that some wrap.  Every
 run is compared with ``reference_execute`` of the VM oracle: to the end
 under each build, cost model and runtime filter, at every step limit up
-to a cap and at the limits that cut the batches of counted self-loops,
+to a cap, at the limits that cut the batches of counted self-loops and
+at the limits that fall inside an op holding a collapsed loop,
 with the tier-up count at its default and lowered to 0 and 1.  Every
 build variant of ``tests/test_equivalence.py`` must keep a program's exit
 value.  At a step limit the Monitor's columns (the partial trace) must
@@ -15,7 +16,9 @@ match the reference's too.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -68,6 +71,51 @@ def _batch_limits(monkeypatch, m, costs=None, rules=None) -> list[int]:
     return sorted(limits)
 
 
+def _collapse_limits(monkeypatch, m, costs=None, rules=None) -> list[int]:
+    """Step limits that stop a run of ``m`` at the first step of an op
+    that holds a collapsed loop, inside it, at its last step and just past
+    it.  Such an op is one that ``vm._collapsed`` returns, or that
+    ``vm._threaded`` makes of one; where the run dispatches it is read
+    off ``execute``'s frame at its step count update."""
+    held = {}  # id -> op
+    collapse, thread = vm._collapsed, vm._threaded
+
+    def collapsing(op, loop, ahead):
+        out = collapse(op, loop, ahead)
+        if out:
+            held[id(out)] = out
+        return out
+
+    def threading(jmp, to):
+        out = thread(jmp, to)
+        if id(jmp) in held or id(to) in held:
+            held[id(out)] = out
+        return out
+
+    source, first = inspect.getsourcelines(vm.execute)
+    line = first + next(i for i, text in enumerate(source) if text.strip() == "steps += ins[1]")
+    ops = []  # (steps before, steps) of each such op dispatched
+
+    def in_execute(frame, event, arg):
+        if event == "line" and frame.f_lineno == line and id(frame.f_locals["ins"]) in held:
+            ops.append((frame.f_locals["steps"], frame.f_locals["ins"][1]))
+        return in_execute
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vm, "_collapsed", collapsing)
+        patch.setattr(vm, "_threaded", threading)
+        tracer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: in_execute if frame.f_code is vm.execute.__code__ else None)
+        try:
+            _outcome(vm.execute, m, costs, rules)
+        finally:
+            sys.settrace(tracer)
+    limits = set()
+    for start, steps in ops[:3] + ops[-2:]:
+        limits |= {start + 1, start + steps // 2, start + steps, start + steps + 1}
+    return sorted(limits)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_looping_runs_match_reference(seed):
     modules = _looping_modules(seed)
@@ -86,7 +134,8 @@ def test_looping_step_limits_match_reference(monkeypatch, tier_up, seed):
     for m in _looping_modules(seed):
         for costs in COST_MODELS:
             _sweep(m, costs, cap=CAP)
-            for limit in _batch_limits(monkeypatch, m, costs):
+            limits = _batch_limits(monkeypatch, m, costs) + _collapse_limits(monkeypatch, m, costs)
+            for limit in limits:
                 want = _outcome(reference_execute, m, costs, step_limit=limit)
                 assert _outcome(vm.execute, m, costs, step_limit=limit) == want, (costs, limit)
 
@@ -102,6 +151,18 @@ def test_generated_loops_batch_wrap_and_get_cut(monkeypatch):
     assert sum(b.n > 1 for b in seen) > 100
     assert any(b.wrapped and not b.cut for b in seen)
     assert any(b.cut and b.n > 0 for b in seen)
+
+
+def test_generated_loops_collapse_and_get_cut(monkeypatch):
+    """The looping modules of the sweeps above run ops that hold collapsed
+    loops, and their collapse limits stop runs inside such ops."""
+    inside = 0
+    for seed in range(10):
+        for m in _looping_modules(seed):
+            limits = _collapse_limits(monkeypatch, m)
+            full = _outcome(vm.execute, m)[-1]
+            inside += sum(limit <= full for limit in limits)
+    assert inside > 50
 
 
 @pytest.mark.parametrize("seed", range(0, 1000, 50))
@@ -165,4 +226,5 @@ def test_looping_columns_at_the_step_limit_match_reference(monkeypatch, tier_up,
     for m in _looping_modules(seed)[1:]:  # the instrumented builds
         for rules in (None, EXCLUDE_ALL):
             limits = [*range(1, CAP + 1), *_batch_limits(monkeypatch, m, None, rules)]
+            limits += _collapse_limits(monkeypatch, m, None, rules)
             _check_columns(monkeypatch, m, limits, rules=rules)

@@ -315,8 +315,9 @@ def test_trace_loop_leaf_lowers_to_one_ret_with_two_events(monkeypatch):
     upd = next(f.mangled_name for f in m.functions if "no_inline" in f.attrs)
     # The leaf tiers up in the fourth outer iteration, and main, its
     # caller, with it; the update function, visited once per outer
-    # iteration, later.
-    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd]
+    # iteration, later, and main again, as its collapsed loop makes the
+    # update function a leaf.
+    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd, "main"]
     relowered = {name: blocks for name, regions, blocks in made if regions}
     (op,) = relowered[leaf][0]
     handle = next(d.handle for d in r.events.definitions if d.descriptor.canonical_name == leaf)
@@ -354,9 +355,10 @@ def test_filtered_compute_inner_loop_lowers_to_one_jnz(monkeypatch):
     vm.execute(m, runtime_rules=rules)
     # The patch turns the leaf's entry op into a ret, so main, its caller,
     # is lowered again: the call.try folds into a jmp, which is threaded
-    # into ^__cont2's jnz.  The recorded update function tiers up later.
+    # into ^__cont2's jnz.  The recorded update function tiers up later,
+    # and becomes a leaf, so main is lowered again.
     upd = next(f.mangled_name for f in m.functions if "no_inline" in f.attrs)
-    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd]
+    assert [name for name, regions, _ in made if regions] == [leaf, "main", upd, "main"]
     relowered = {name: blocks for name, regions, blocks in made if regions}
     main, leaf_op = relowered["main"], relowered[leaf][0][0]
     at = {b.label: i for i, b in enumerate(m.function("main").blocks)}
