@@ -7,6 +7,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,6 +37,8 @@ _COST_FLAGS = {
 }
 
 
+# Built once per process: parse_args fills a new Namespace on every call.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="instrumenta")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -249,3 +249,47 @@ class TestCompareSuggest:
         assert run_cli(
             "suggest-filter", trc, "--max-ticks-per-visit", "0", "--min-visits", "5"
         ) == 1
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; every call must
+    still parse as if the parser were new."""
+
+    def test_usage_error_after_successful_calls(self, tmp_path, capsys):
+        out, trc = tmp_path / "out.ir", tmp_path / "t.trc"
+        assert run_cli("instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0") == 0
+        assert run_cli("run", out, "--trace", trc) == 0
+        assert run_cli("report", trc) == 0
+        capsys.readouterr()
+        assert run_cli("instrument", LISTING1, "--mode", "plugin", "-O0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "\nusage: instrumenta [-h]" in err
+
+    def test_no_argument_value_carries_over(self, tmp_path, capsys):
+        out, trc = tmp_path / "out.ir", tmp_path / "t.trc"
+        flt = tmp_path / "f.flt"
+        flt.write_text("REGION_NAMES_BEGIN\nEXCLUDE *\nREGION_NAMES_END\n")
+        assert run_cli(
+            "instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0", "--filter", flt
+        ) == 0
+        assert "hook.enter" not in out.read_text(encoding="utf-8")
+        assert run_cli("instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0") == 0
+        assert "hook.enter" in out.read_text(encoding="utf-8")
+        capsys.readouterr()
+
+        assert run_cli(
+            "run", out, "--trace", trc, "--hook-event", "40", "--runtime-filter", flt,
+            "--step-limit", "100000",
+        ) == 0
+        filtered = capsys.readouterr().out
+        assert trc.exists()
+        trc.unlink()
+        assert run_cli("run", out) == 0
+        plain = capsys.readouterr().out
+        assert not trc.exists()
+        assert "events: 16 (7 enters)" in plain and "events: 0 (0 enters)" in filtered
+        assert run_cli("run", out, "--hook-event", "40") == 0
+        heavier = capsys.readouterr().out
+        ticks = lambda s: int(s.split("ticks: ")[1].split()[0])
+        assert ticks(heavier) == ticks(plain) + 14 * 20

@@ -602,6 +602,22 @@ def test_handle_spellings_read_like_the_canonical_one(monkeypatch, spelling):
     assert assert_same_at_chunk_sizes(monkeypatch, text) == read_trace(canonical)
 
 
+@pytest.mark.parametrize("short", [0, 1, 30, 200, 1 << 12])
+def test_definition_lines_between_runs_read_like_the_reference(monkeypatch, short):
+    # D lines cut the text into runs for the line loop and runs for columns.
+    monkeypatch.setattr(runtime, "_SHORT_RUN_CHARS", short)
+    d4, d5 = 'D 4 "h" "h" "c.c" 3:3\n', 'D 5 "k" "k" "d.c" 4:4\n'
+    texts = [write_trace(gens.trace_events(random.Random(seed))) for seed in range(60)]
+    texts += [d4 + d5, d4 + _pairs(1, 20, 4) + d5, _PREFIX + _pairs(1, 20) + d4 + "X 9 2\n" + d5]
+    head = _PREFIX + _pairs(1, 20) + d4 + _pairs(2, 2, 4) + d5
+    for line in ADVERSARIAL_LINES + ["E 5 D", "X 5 2 D", "ED 5 3"]:
+        for suffix in _SUFFIXES[:2]:
+            texts.append(head + line + "\n" + _pairs(9, 20, 5) + d4[:-1] + suffix)
+            texts.append(head + _pairs(3, 20, 5) + line + "\n" + _pairs(9, 20, 5) + suffix)
+    for text in texts:
+        assert_same_at_chunk_sizes(monkeypatch, text, (7, 1 << 16))
+
+
 def test_transient_memory_stays_below_the_text_size():
     # About 200k E/X records in the shape of a hot leaf under main.
     text = 'D 2 "main" "main" "a.c" 1:9\nE 0 2\nD 3 "leaf" "leaf" "a.c" 2:3\n' + "".join(
@@ -645,6 +661,56 @@ def reference_write_trace(events):
                 f" {runtime._quote(d.file)} {d.begin_lno}:{d.end_lno}\n"
             )
     return "".join(parts)
+
+
+# Block sizes for the writer: 1 and 3 put a boundary beside nearly every
+# D record of a small trace; 8192 is write_trace's own size.
+_WRITE_BLOCKS = (1, 3, 8192)
+
+
+def assert_writes_like_reference(monkeypatch, events):
+    expected = reference_write_trace(events)
+    for block in _WRITE_BLOCKS:
+        monkeypatch.setattr(runtime, "_WRITE_BLOCK", block)
+        text = write_trace(events)
+        assert text == expected, (block, events)
+        assert read_trace(text) == events
+
+
+def test_writer_matches_reference_on_generated_traces(monkeypatch):
+    for seed in range(1000):
+        assert_writes_like_reference(monkeypatch, gens.trace_events(random.Random(seed)))
+
+
+def test_writer_matches_reference_on_runs_with_batched_loops(monkeypatch):
+    # Batched and collapsed loops append their events as progressions.
+    for seed in range(200):
+        module = gens.looping_module(random.Random(seed))
+        for mode in ("auto", "plugin"):
+            out, _, _ = instrument_module(module, FilterRuleSet(), mode, O0)
+            assert_writes_like_reference(monkeypatch, execute(out).events)
+
+
+def _define(handle, name="f()"):
+    return TraceEvent("D", 0, handle, RegionDescriptor(handle, name, f"_Z{handle}", "a.c", 1, 2))
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [],
+        [_define(2)],
+        [_define(2), _define(3, "100%s %d%%"), _define(4, "%")],
+        [_define(2), _define(3), TraceEvent("E", 0, 3), TraceEvent("X", 0, 3), _define(4)],
+        [_define(2), TraceEvent("E", 0, 2), _define(3), _define(4), TraceEvent("E", 5, 4),
+         TraceEvent("X", 5, 4), TraceEvent("X", 9, 2), _define(5), _define(6)],
+        [_define(2), TraceEvent("E", 0, 2), TraceEvent("E", 2**63, 2),
+         TraceEvent("X", 2**64 + 5, 2), TraceEvent("X", 10**30, 2)],
+    ],
+    ids=["empty", "one-d", "only-d", "d-last", "adjacent-d", "large-stamps"],
+)
+def test_writer_matches_reference_at_definition_edges(monkeypatch, events):
+    assert_writes_like_reference(monkeypatch, events)
 
 
 def _trace_of_length(n):
