@@ -130,9 +130,6 @@ class Instruction:
     def call_arg_regs(self) -> tuple[int, ...]:
         return self.args[_ARG_REGISTERS.get(self.op, _NONE)]
 
-    def branch_labels(self) -> tuple[str, ...]:
-        return self.args[_LABELS.get(self.op, _NONE)]
-
     def remap(
         self, regs: dict[int, int], labels: dict[str, str] | None = None
     ) -> "Instruction":

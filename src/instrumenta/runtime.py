@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import islice
 from operator import eq, getitem, le
 from typing import Literal, NamedTuple
@@ -146,19 +146,13 @@ class Trace(Sequence):
         return repr(list(self))
 
 
-@dataclass
-class RegionRegistry:
-    """Maps region ids to handles; handles from 2 up."""
-
-    handles: dict[int, int] = field(default_factory=dict)
-
-
 class Monitor:
     """Single-location monitoring state; ``vm.execute`` records enter/exit into it."""
 
     def __init__(self, runtime_rules: FilterRuleSet | None = None):
         self.rules = runtime_rules if runtime_rules is not None else FilterRuleSet()
-        self.registry = RegionRegistry()
+        # Region id -> its handle, from 2 up, or FILTERED_REGION.
+        self.handles: dict[int, int] = {}
         self.events = Trace()
         self.shadow_stack: list[int] = []
 
@@ -172,7 +166,7 @@ class Monitor:
         handle with no side effects.
         """
         rid = d.region_id
-        existing = self.registry.handles.get(rid)
+        existing = self.handles.get(rid)
         if existing is not None:
             return existing, False
         decision = classify(self.rules, d.canonical_name, d.name, d.file)
@@ -185,7 +179,7 @@ class Monitor:
             self.events._define(
                 TraceEvent("D", 0, handle, replace(d, region_id=handle))
             )
-        self.registry.handles[rid] = handle
+        self.handles[rid] = handle
         return handle, True
 
 

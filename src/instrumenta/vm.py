@@ -79,10 +79,7 @@ class ExecutionResult:
 # extern_call (a hook's monitoring cost is charged when it runs), and
 # ``updates`` holds the run's register writes in order, each
 # (dst, a, b, c) meaning regs[dst] = wrap(regs[a] + regs[b] + c), where
-# register _ZERO is never written.  The instrumenter's fixed pairs
-# ``hook.register r; hook.enter r`` and ``hook.exit r; ret`` lower to
-# one op each; the steps of a fused ret are checked on their own, so a
-# run stopped by the step limit fails exactly as it would unfused.
+# register _ZERO is never written.
 #
 # The hooks of a registered region are pure too: a hook.register costs
 # one step and nothing else, and an enter or exit costs hook_guard when
@@ -128,14 +125,14 @@ class ExecutionResult:
 # loops all collapse can become a leaf.  A collapse that would add more
 # than _ABSORBED events is left to _batch, so an op never holds a
 # long run's trace.
-_JNZ, _JMP, _CALL, _HREG, _HREGENTER, _HENTER, _HEXIT, _HEXITRET, _RET, _THROW, _LOOP = range(11)
+_JNZ, _JMP, _CALL, _HREG, _HENTER, _HEXIT, _RET, _THROW, _LOOP = range(9)
 _ZERO = 16
 _EVENTS = 17
 _MARK = 1 << 63
 _RECORD = (_EVENTS, _ZERO, _ZERO, _MARK)
 # Ops that go on to the next op of their block, so a jmp is never
 # threaded into one.
-_STAYS = (_HREG, _HREGENTER, _HENTER, _HEXIT)
+_STAYS = (_HREG, _HENTER, _HEXIT)
 # Runs of a recorded region's stale hook.register ops after which its
 # holders are lowered again.  Lowering every region again at its first
 # registration costs more than it saves on a rarely visited one.
@@ -300,12 +297,8 @@ def _lower_function(
         steps = ticks = 0
         updates: list[tuple] = []
         events: list[tuple] = []
-        instrs = b.instructions
-        i = 0
-        while i < len(instrs):
-            ins = instrs[i]
+        for ins in b.instructions:
             op, args = ins.op, ins.args
-            i += 1
             steps += 1
             if op == "addi":
                 updates.append((args[0], args[1], _ZERO, args[2]))
@@ -331,7 +324,6 @@ def _lower_function(
                         events.append((handle if op == "hook.enter" else -handle, ticks, steps))
                         ticks += recorded
                 continue
-            nxt = instrs[i] if i < len(instrs) else None
             if op == "call" or op == "call.try":
                 callee = code.get(args[0])
                 if callee is None:  # an extern
@@ -357,17 +349,10 @@ def _lower_function(
                     eff = (_CALL, code[args[0]], ins.call_arg_regs(), *resume)
             elif op == "hook.register":
                 eff = (_HREG, args[0], m.regions[args[0]])
-                if nxt is not None and nxt.op == "hook.enter" and nxt.args == args:
-                    eff = (_HREGENTER, *eff[1:])
-                    steps += 1
-                    i += 1
             elif op == "hook.enter":
                 eff = (_HENTER, args[0])
             elif op == "hook.exit":
                 eff = (_HEXIT, args[0])
-                if nxt is not None and nxt.op == "ret":
-                    eff = (_HEXITRET, args[0], nxt.args[0] if nxt.args else None)
-                    i += 1  # the ret's step and tick are charged when it runs
             else:
                 ticks += base
                 if op == "jnz":
@@ -595,7 +580,7 @@ def execute(
     costs = costs if costs is not None else CostModel()
     monitor = Monitor(runtime_rules)
     # The hook fast path: the Monitor's state, written here directly.
-    handle_of = monitor.registry.handles
+    handle_of = monitor.handles
     codes = monitor.events.codes
     stamps = monitor.events.stamps
     open_regions = monitor.shadow_stack
@@ -609,7 +594,6 @@ def execute(
     # its holders are lowered again.
     stale: dict[int, int] = {}
 
-    base = costs.base_instruction
     guard = costs.hook_guard
     reg_first = costs.hook_register_first
     recorded = guard + costs.hook_event
@@ -634,8 +618,6 @@ def execute(
         if steps > step_limit:
             if ins[4] is not None:  # the events within the limit run first
                 _record(ins[4], ticks, step_limit - steps + ins[1], codes, stamps, open_regions)
-            if ins[0] == _HREGENTER and steps - 1 == step_limit:  # and the register
-                monitor.register_region(ins[6])
             raise StepLimitExceeded(over)
         ticks += ins[2]
         for dst, a, b, c in ins[3]:
@@ -667,65 +649,37 @@ def execute(
             regs = new_regs
             cur = blocks[0]
             ip = 0
-        elif op <= _HENTER:  # _HREG, _HREGENTER, _HENTER
+        elif op == _HREG:
             rid = ins[5]
-            handle = handle_of.get(rid)
-            if op != _HENTER:
-                if handle is None:
-                    handle = monitor.register_region(ins[6])[0]
-                    ticks += reg_first
-                    stale[rid] = 0 if handle == FILTERED_REGION else _TIER_UP
-                else:
-                    stale[rid] -= 1
-                if stale[rid] == 0:
-                    # Fold the region's hooks into the pure runs of every
-                    # function that holds them, in place: call ops and
-                    # frames hold these lists, and enter or jump into the
-                    # new code from here on.  Callers of a function that
-                    # became a leaf fold their calls to it.
-                    if holders is None:
-                        holders, callers = _patch_index(order)
-                    _relower(list(holders[rid]), order, callers, m, code, costs, handle_of)
-                if op == _HREG:
-                    ip += 1
-                    continue
-            # The enter, alone or after its register.
-            if handle is None:
-                raise TraceError("enter with unregistered handle")
-            if handle != FILTERED_REGION:
-                codes.append(handle)
-                stamps.append(ticks)
-                open_regions.append(handle)
-                ticks += recorded
+            if rid not in handle_of:
+                handle = monitor.register_region(ins[6])[0]
+                ticks += reg_first
+                stale[rid] = 0 if handle == FILTERED_REGION else _TIER_UP
             else:
-                ticks += guard
+                stale[rid] -= 1
+            if stale[rid] == 0:
+                # Fold the region's hooks into the pure runs of every
+                # function that holds them, in place: call ops and frames
+                # hold these lists, and enter or jump into the new code
+                # from here on.  Callers of a function that became a leaf
+                # fold their calls to it.
+                if holders is None:
+                    holders, callers = _patch_index(order)
+                _relower(list(holders[rid]), order, callers, m, code, costs, handle_of)
             ip += 1
-        elif op < _THROW:  # _HEXIT, _HEXITRET, _RET
-            if op != _RET:
-                handle = handle_of.get(ins[5])
-                if handle is None:
-                    raise TraceError("exit with unregistered handle")
-                if handle != FILTERED_REGION:
-                    top = open_regions.pop() if open_regions else None
-                    if top != handle:
-                        raise UnbalancedExitError(
-                            f"exit for handle {handle} while top of stack is {top}"
-                        )
-                    codes.append(-handle)
-                    stamps.append(ticks)
-                    ticks += recorded
-                else:
-                    ticks += guard
-                if op == _HEXIT:
-                    ip += 1
-                    continue
-                # The ret after the exit, at its own step.
-                steps += 1
-                if steps > step_limit:
-                    raise StepLimitExceeded(over)
-                ticks += base
-            # The value register is the last operand of _RET and _HEXITRET.
-            value = regs[ins[-1]] if ins[-1] is not None else None
+        elif op == _HENTER or op == _HEXIT:
+            handle = handle_of.get(ins[5])
+            if handle is None:
+                raise TraceError(f"{'enter' if op == _HENTER else 'exit'} with unregistered handle")
+            if handle == FILTERED_REGION:
+                ticks += guard
+            else:
+                event = (handle if op == _HENTER else -handle, 0, 0)
+                _record((event,), ticks, 0, codes, stamps, open_regions)
+                ticks += recorded
+            ip += 1
+        elif op == _RET:
+            value = regs[ins[5]] if ins[5] is not None else None
             if not frames:
                 exit_value = value if value is not None else 0
                 uncaught = False

@@ -303,7 +303,7 @@ def test_counter_set_ahead_of_the_entry_hooks(monkeypatch, collapses):
     m = parse_module(_AHEAD)
     batches = record_batches(monkeypatch)
     code = _final(monkeypatch, m)
-    assert _ops(code["_Z1gv"][0]) == [vm._HREGENTER, vm._HEXITRET]
+    assert _ops(code["_Z1gv"][0]) == [vm._HREG, vm._HENTER, vm._JMP]
     assert _ops(code["_Z1hv"][0]) == [vm._CALL, vm._JNZ]
     assert collapses == [Collapse(1, 3, 0)]
     assert [b.n for b in batches] == [5]

@@ -18,9 +18,14 @@ import random
 
 import pytest
 
+from conftest import corpus_paths, load_corpus
 from instrumenta import vm
+from instrumenta.filters import FilterRuleSet
+from instrumenta.instrument import instrument_module
 from instrumenta.ir import parse_module
+from instrumenta.optimizer import O0, O2
 from instrumenta.runtime import UnbalancedExitError
+from test_vm_batch import _check_columns
 from test_vm_oracle import COST_MODELS, EXCLUDE_ALL, _hook_soup, _modules, _sweep
 from test_vm_patch import _lowerings
 
@@ -205,3 +210,26 @@ def test_mismatched_folded_exit_fails_as_unfolded(monkeypatch, tier_up, opened, 
             f"exit for handle 2 while top of stack is {top}",
         )
         assert len(_sweep(m, costs, EXCLUDE_ALL)) == 6
+
+
+# hotloop.ir runs 1.2M steps, too many to stop at each one.
+_SMALL_CORPUS = [p.name for p in corpus_paths() if p.name != "hotloop.ir"]
+
+
+@pytest.mark.parametrize("tier", [0, 1, vm._TIER_UP], ids=lambda n: f"tier_up{n}")
+@pytest.mark.parametrize("name", _SMALL_CORPUS)
+def test_corpus_columns_match_reference_at_every_step_limit(monkeypatch, name, tier):
+    # Listing 1 and the throw/catch shapes, instrumented, stop at every
+    # limit between a register and its enter and between an exit and its
+    # ret, with the hooks dispatched and, once folded, as events.
+    monkeypatch.setattr(vm, "_TIER_UP", tier)
+    made = _lowerings(monkeypatch)
+    for mode in ("auto", "plugin"):
+        for level in (O0, O2):
+            m = instrument_module(load_corpus(name), FilterRuleSet(), mode, level)[0]
+            for rules in (None, EXCLUDE_ALL):
+                made.clear()
+                steps = vm.execute(m, runtime_rules=rules).steps
+                # Excluded regions fold at their first registration.
+                assert rules is None or any(regions for _, regions, _ in made)
+                _check_columns(monkeypatch, m, range(1, steps + 1), rules=rules)

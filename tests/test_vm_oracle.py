@@ -115,13 +115,6 @@ def _check_closed(open_regions: list[int]) -> None:
         raise TraceError(f"run ends with {len(open_regions)} open region(s)")
 
 
-
-
-def _check_closed(open_regions: list[int]) -> None:
-    if open_regions:
-        raise TraceError(f"run ends with {len(open_regions)} open region(s)")
-
-
 def reference_execute(
     m: IrModule,
     entry: str = "main",
@@ -147,7 +140,7 @@ def reference_execute(
     recorded = guard + event
 
     # The hook fast path: the Monitor's state, written here directly.
-    handle_of = monitor.registry.handles
+    handle_of = monitor.handles
     codes = monitor.events.codes
     stamps = monitor.events.stamps
     open_regions = monitor.shadow_stack
@@ -352,8 +345,8 @@ def test_every_step_limit_matches_reference(seed):
 
 def _hook_soup(rng):
     """main and one callee run random hook sequences over two regions,
-    mixed with pure ops, so that the fused pairs (and their errors)
-    appear at every position."""
+    mixed with pure ops, so that register/enter and exit/ret pairs (and
+    their errors) appear at every position."""
     pool = [
         "hook.register 0", "hook.register 1", "hook.enter 0", "hook.enter 1",
         "hook.exit 0", "hook.exit 1", "work 2", "addi r1, r1, 3", "call @ext",

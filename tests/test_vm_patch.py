@@ -341,7 +341,7 @@ def test_filtered_compute_leaf_lowers_to_one_op_without_hooks(monkeypatch):
     # The entry block is the only one a visit runs: its pure run and the
     # exit path, jmp threaded, end in one plain ret.
     assert [op[0] for op in blocks[0]] == [vm._RET]
-    hook_ops = (vm._HREG, vm._HREGENTER, vm._HENTER, vm._HEXIT, vm._HEXITRET)
+    hook_ops = (vm._HREG, vm._HENTER, vm._HEXIT)
     assert not any(op[0] in hook_ops for block in blocks for op in block)
     assert any(ins.op in HOOK_OPS for b in m.function(leaf).blocks for ins in b.instructions)
 
