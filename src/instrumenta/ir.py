@@ -111,6 +111,13 @@ class Instruction:
 
     op: str
     args: tuple = ()
+    # validate's context-free verdict (_judge), stored on this object the
+    # first time it is checked.  Not a field: equality, hash and repr
+    # ignore it, and copies and pickles leave it behind (__getstate__).
+    _verdict = None
+
+    def __getstate__(self) -> dict:
+        return {"op": self.op, "args": self.args}
 
     @classmethod
     def make(cls, op: str, *args) -> "Instruction":
@@ -297,14 +304,20 @@ def validate(m: IrModule) -> list[Violation]:
             if not b.instructions:
                 out.append(Violation("missing-terminator", bwhere, "block is empty"))
                 continue
-            if not b.instructions[-1].is_terminator:
+            last = len(b.instructions) - 1
+            if b.instructions[last].op not in TERMINATORS:
                 out.append(
                     Violation(
                         "missing-terminator", bwhere, "block does not end in terminator"
                     )
                 )
-            for i, ins in enumerate(b.instructions[:-1]):
-                if ins.is_terminator:
+            # A block's misplaced terminators come before its other defects.
+            found: list[Violation] = []
+            for i, ins in enumerate(b.instructions):
+                verdict = ins._verdict or _judge(ins)
+                if verdict is _SOUND:
+                    continue
+                if i < last and ins.op in TERMINATORS:
                     out.append(
                         Violation(
                             "terminator-mid-block",
@@ -312,9 +325,9 @@ def validate(m: IrModule) -> list[Violation]:
                             f"'{ins.op}' before end of block",
                         )
                     )
-            for i, ins in enumerate(b.instructions):
-                for code, message in _check_instruction(m, seen, targets, ins):
-                    out.append(Violation(code, f"{bwhere}[{i}]", message))
+                for code, message in _defects(ins, verdict, seen, targets, m.regions):
+                    found.append(Violation(code, f"{bwhere}[{i}]", message))
+            out += found
     for rid, desc in m.regions.items():
         if rid != desc.region_id:
             out.append(
@@ -331,30 +344,63 @@ def _check_instruction(
     m: IrModule, names: set[str], labels: set[str], ins: Instruction
 ) -> list[tuple[str, str]]:
     """The (code, message) of each defect of one instruction."""
+    return _defects(ins, ins._verdict or _judge(ins), names, labels, m.regions)
+
+
+# A verdict is what validate finds in an instruction wherever it stands:
+# its defects as (code, message) pairs, and whether the checks that depend
+# on its position apply (not to a malformed one).  Without a defect, a
+# plain op, which has no such check, shares _SOUND, which validate skips,
+# and any other op _CONTEXT.
+_SOUND = ((), False)
+_CONTEXT = ((), True)
+_PLAIN_OPS = ALL_OPS - TERMINATORS - HOOK_OPS - _CALL_OPS
+
+
+def _judge(ins: Instruction) -> tuple:
+    """The verdict on ``ins``, stored on it."""
     op, args = ins.op, ins.args
-    syntax = _SHAPES.get((op, *map(type, args)))
-    if syntax is None:
-        # A call with too many arguments still fits its signature.
-        syntax = _syntax(op, len(args))
-        if syntax is None or syntax.shape != (op, *map(type, args)):
-            if op not in ALL_OPS:
-                return [("unknown-op", f"'{op}'")]
-            return [("bad-operands", _bad_operands(ins))]
-    out: list[tuple[str, str]] = []
-    for r in args[_REGISTERS[op]]:
-        if not (0 <= r < NUM_REGISTERS):
-            out.append(("bad-register", f"r{r} out of range"))
-    if syntax.kinds == "n" and args[0] < 1:
-        out.append(("bad-work-count", "work needs n >= 1"))
-    if op in _CALL_OPS:
-        if len(args[_ARG_REGISTERS[op]]) > MAX_CALL_ARGS:
-            out.append(("too-many-args", "more than 8 call args"))
-        if args[0] not in names:
-            out.append(("undefined-call-target", f"@{args[0]} not defined"))
+    shape = (op, *map(type, args))
+    # A call with too many arguments still fits its signature.
+    syntax = _SHAPES.get(shape) or _syntax(op, len(args))
+    if syntax is None or syntax.shape != shape:
+        if op not in ALL_OPS:
+            verdict = ((("unknown-op", f"'{op}'"),), False)
+        else:
+            verdict = ((("bad-operands", _bad_operands(ins)),), False)
+    else:
+        defects: list[tuple[str, str]] = []
+        for r in args[_REGISTERS[op]]:
+            if not (0 <= r < NUM_REGISTERS):
+                defects.append(("bad-register", f"r{r} out of range"))
+        if syntax.kinds == "n" and args[0] < 1:
+            defects.append(("bad-work-count", "work needs n >= 1"))
+        if op in _CALL_OPS and len(args[_ARG_REGISTERS[op]]) > MAX_CALL_ARGS:
+            defects.append(("too-many-args", "more than 8 call args"))
+        if defects:
+            verdict = (tuple(defects), True)
+        else:
+            verdict = _SOUND if op in _PLAIN_OPS else _CONTEXT
+    object.__setattr__(ins, "_verdict", verdict)
+    return verdict
+
+
+def _defects(
+    ins: Instruction, verdict: tuple, names: set[str], labels: set[str], regions: dict
+) -> list[tuple[str, str]]:
+    """The verdict's defects, then those of the checks at this position:
+    call target, branch labels and region id."""
+    defects, in_context = verdict
+    out = list(defects)
+    if not in_context:
+        return out
+    op, args = ins.op, ins.args
+    if op in _CALL_OPS and args[0] not in names:
+        out.append(("undefined-call-target", f"@{args[0]} not defined"))
     for label in args[_LABELS[op]]:
         if label not in labels:
             out.append(("undefined-label", f"^{label} not defined"))
-    if syntax.kinds == "h" and args[0] not in m.regions:
+    if op in HOOK_OPS and args[0] not in regions:
         out.append(("unknown-region", f"region {args[0]} not in table"))
     return out
 
@@ -600,7 +646,10 @@ def parse_instruction(line: str, lineno: int) -> Instruction:
         _reject_operand_count(op, operands, lineno)
     for i, parse in enumerate(syntax.parsers):
         operands[i] = parse(operands[i], lineno)
-    return Instruction(op, tuple(operands))
+    ins = Instruction(op, tuple(operands))
+    # What parses has no defect that validate could find in it alone.
+    object.__setattr__(ins, "_verdict", _SOUND if op in _PLAIN_OPS else _CONTEXT)
+    return ins
 
 
 def _reject_operand_count(op: str, operands: list[str], lineno: int) -> NoReturn:
