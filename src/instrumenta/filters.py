@@ -8,8 +8,11 @@ substring matching is deliberately not offered.
 
 from __future__ import annotations
 
+import fnmatch
+import functools
+import re
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 RuleKind = Literal["include", "exclude"]
 
@@ -57,31 +60,20 @@ class MatchDecision:
     reason: str
 
 
+@functools.cache
+def _glob(pattern: str) -> Callable[[str], re.Match[str] | None]:
+    # "[" becomes the class "[[]", which matches only itself, so fnmatch's
+    # bracket sets never apply and * and ? are the only wildcards.
+    return re.compile(fnmatch.translate(pattern.replace("[", "[[]"))).match
+
+
 def wildcard_match(pattern: str, name: str) -> bool:
     """Whole-name glob match; ``*`` spans any run, ``?`` one char.
 
     A pattern without wildcards matches only the exact name, never a
     substring of a longer one.
     """
-    px = nx = 0
-    star_px = star_nx = -1
-    plen, nlen = len(pattern), len(name)
-    while nx < nlen:
-        if px < plen and (pattern[px] == "?" or pattern[px] == name[nx]):
-            px += 1
-            nx += 1
-        elif px < plen and pattern[px] == "*":
-            star_px, star_nx = px, nx
-            px += 1
-        elif star_px >= 0:
-            px = star_px + 1
-            star_nx += 1
-            nx = star_nx
-        else:
-            return False
-    while px < plen and pattern[px] == "*":
-        px += 1
-    return px == plen
+    return _glob(pattern)(name) is not None
 
 
 def parse_filter(text: str) -> FilterRuleSet:

@@ -307,11 +307,6 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
 # read_trace decodes the text in chunks of about this many characters, each
 # cut just after a line break, so its transient memory stays small.
 _CHUNK_CHARS = 1 << 16
-# A run of lines between two D lines that is shorter than this goes through
-# the line loop with them; a longer one is decoded as columns when it can be.
-# Cutting out runs of 512 characters made traces with a D line every few
-# lines read 5% slower than one line loop over them; 4096 read them as fast.
-_SHORT_RUN_CHARS = 4096
 _DELETE_EX_DIGITS = str.maketrans("", "", "EX0123456789")
 
 
@@ -331,8 +326,8 @@ def read_trace(text: str) -> Trace:
     last_ts = lineno = start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        if text.startswith("D ", start):
-            end = _definitions_end(text, start)
+        if text.startswith("D ", start):  # through the window's last line with a D
+            end = text.find("\n", text.rfind("D", start, end)) + 1 or len(text)
         elif (d := text.find("D", start, end)) >= 0:  # up to the line of the D
             end = text.rfind("\n", start, d) + 1 or end
         chunk, start = text[start:end], end
@@ -344,21 +339,6 @@ def read_trace(text: str) -> Trace:
     if stack:
         raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
     return trace
-
-
-def _definitions_end(text: str, start: int) -> int:
-    """Where the line loop's run from the D line at ``start`` ends: after the
-    last line with a D that begins within _SHORT_RUN_CHARS of the end of the
-    one before it (or at the text's end, if that is nearer), within a chunk."""
-    end = start
-    while True:
-        end = text.find("\n", end) + 1 or len(text)
-        if len(text) - end < _SHORT_RUN_CHARS:
-            return len(text)
-        d = text.rfind("D", end, end + _SHORT_RUN_CHARS)
-        if d < 0 or d > start + _CHUNK_CHARS:
-            return end
-        end = d
 
 
 def _read_columns(

@@ -11,6 +11,37 @@ from instrumenta.filters import (
     parse_filter,
     wildcard_match,
 )
+from instrumenta.instrument import instrument_module
+from instrumenta.ir import parse_module
+from instrumenta.optimizer import O0
+from instrumenta.vm import execute
+
+
+def reference_wildcard_match(pattern: str, name: str) -> bool:
+    """Whole-name glob match by two pointers and one backtrack point.
+
+    ``*`` is tested before the literal compare, so a ``*`` in the pattern
+    is always a wildcard, even where the name holds a ``*`` too.
+    """
+    px = nx = 0
+    star_px = star_nx = -1
+    plen, nlen = len(pattern), len(name)
+    while nx < nlen:
+        if px < plen and pattern[px] == "*":
+            star_px, star_nx = px, nx
+            px += 1
+        elif px < plen and (pattern[px] == "?" or pattern[px] == name[nx]):
+            px += 1
+            nx += 1
+        elif star_px >= 0:
+            px = star_px + 1
+            star_nx += 1
+            nx = star_nx
+        else:
+            return False
+    while px < plen and pattern[px] == "*":
+        px += 1
+    return px == plen
 
 
 class TestParseFilter:
@@ -120,6 +151,37 @@ class TestWildcardMatch:
         assert wildcard_match("f[ab]", "f[ab]")
         assert not wildcard_match("f[ab]", "fa")
 
+    @pytest.mark.parametrize(
+        "pattern, name, expected",
+        [
+            ("*", "*b", True),
+            ("a*", "a*b", True),
+            ("*a*", "xa*b", True),
+            ("f(char*)", "f(char*, int)", True),
+            ("ns::op*", "ns::op*(int)", True),
+            ("a?c", "a*c", True),
+            ("f[ab]", "fa", False),
+            ("f[!a]", "fb", False),
+            ("f[a-c]", "f[a-c]", True),
+            ("a\\*", "a\\b", True),
+            ("a*", "a\nb", True),
+        ],
+    )
+    def test_explicit_rows(self, pattern, name, expected):
+        assert wildcard_match(pattern, name) is expected
+        assert reference_wildcard_match(pattern, name) is expected
+
+    def test_matches_the_reference_on_random_globs(self):
+        rng = random.Random(21)
+        alphabet = "ab*?[]!\\-^\né"
+        for _ in range(20_000):
+            pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            assert wildcard_match(pattern, name) == reference_wildcard_match(pattern, name), (
+                pattern,
+                name,
+            )
+
     def test_whole_name_property(self):
         # Wildcard-free patterns only ever match themselves.
         rng = random.Random(7)
@@ -199,3 +261,53 @@ class TestClassify:
         first = classify(rs, "main", "main", "a.c")
         for _ in range(10):
             assert classify(rs, "main", "main", "a.c") == first
+
+
+# A pattern whose `*` meets a literal `*` in the name, through both callers
+# of classify: the instrumenter's compile-time filter and the runtime's.
+_OPS = """module "ops"
+
+func @main file="a.c" lines=1:9
+{
+^e:
+  call @_ZN2nsmlEi
+  call @_ZN2ns5otherEi
+  li r0, 0
+  ret r0
+}
+
+func @_ZN2nsmlEi pretty="ns::op*(int)" file="a.c" lines=10:12
+{
+^e:
+  work 2
+  ret
+}
+
+func @_ZN2ns5otherEi pretty="ns::other(int)" file="a.c" lines=13:15
+{
+^e:
+  work 3
+  ret
+}
+"""
+_EXCLUDE_OP_STAR = parse_filter("REGION_NAMES_BEGIN\nEXCLUDE ns::op*\nREGION_NAMES_END\n")
+
+
+class TestFilterThroughCallers:
+    def test_compile_time_filter_skips_a_name_holding_a_star(self):
+        _, report, descriptors = instrument_module(
+            parse_module(_OPS), _EXCLUDE_OP_STAR, "plugin", O0
+        )
+        assert report.skipped == [
+            ("_ZN2nsmlEi", "compile_time_filter(region rule 0: EXCLUDE ns::op*)")
+        ]
+        assert [d.name for d in descriptors] == ["main", "ns::other(int)"]
+
+    def test_runtime_filter_records_no_event_for_a_name_holding_a_star(self):
+        out, _, _ = instrument_module(parse_module(_OPS), FilterRuleSet(), "plugin", O0)
+        events = execute(out, runtime_rules=_EXCLUDE_OP_STAR).events
+        names = {ev.handle: ev.descriptor.name for ev in events if ev.kind == "D"}
+        assert [names[ev.handle] for ev in events if ev.kind == "E"] == [
+            "main",
+            "ns::other(int)",
+        ]

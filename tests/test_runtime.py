@@ -602,10 +602,10 @@ def test_handle_spellings_read_like_the_canonical_one(monkeypatch, spelling):
     assert assert_same_at_chunk_sizes(monkeypatch, text) == read_trace(canonical)
 
 
-@pytest.mark.parametrize("short", [0, 1, 30, 200, 1 << 12])
-def test_definition_lines_between_runs_read_like_the_reference(monkeypatch, short):
-    # D lines cut the text into runs for the line loop and runs for columns.
-    monkeypatch.setattr(runtime, "_SHORT_RUN_CHARS", short)
+@pytest.mark.parametrize("window", [0, 1, 30, 200, 1 << 12])
+def test_definition_lines_between_runs_read_like_the_reference(monkeypatch, window):
+    # D lines cut the text into runs for the line loop and runs for columns;
+    # a chunk from a D line reaches the last D within a window of this size.
     d4, d5 = 'D 4 "h" "h" "c.c" 3:3\n', 'D 5 "k" "k" "d.c" 4:4\n'
     texts = [write_trace(gens.trace_events(random.Random(seed))) for seed in range(60)]
     texts += [d4 + d5, d4 + _pairs(1, 20, 4) + d5, _PREFIX + _pairs(1, 20) + d4 + "X 9 2\n" + d5]
@@ -615,7 +615,7 @@ def test_definition_lines_between_runs_read_like_the_reference(monkeypatch, shor
             texts.append(head + line + "\n" + _pairs(9, 20, 5) + d4[:-1] + suffix)
             texts.append(head + _pairs(3, 20, 5) + line + "\n" + _pairs(9, 20, 5) + suffix)
     for text in texts:
-        assert_same_at_chunk_sizes(monkeypatch, text, (7, 1 << 16))
+        assert_same_at_chunk_sizes(monkeypatch, text, (7, window, 1 << 16))
 
 
 def test_transient_memory_stays_below_the_text_size():
