@@ -121,6 +121,8 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
             regions.setdefault(d.canonical_name, [0] * len(runs))
         enters = trace.enter_counts()
         for handle, count in enters.items():
+            if handle not in handle_to_canonical:
+                raise TraceError(f"enter for undefined handle {handle}")
             regions[handle_to_canonical[handle]][run_idx] += count
         rows.append((label, enters.total()))
     per_region = [

@@ -86,6 +86,13 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 class _InputError(Exception):
     pass
 
@@ -102,7 +109,7 @@ def _cmd_instrument(args) -> int:
             )
     level = OptLevel(f"O{args.level}")
     instrumented, report, _ = instrument_module(module, rules, args.mode, level)
-    Path(args.output).write_text(print_module(instrumented), encoding="utf-8")
+    _write_text(args.output, print_module(instrumented))
     print(
         f"instrumented {len(report.instrumented)} function(s), "
         f"skipped {len(report.skipped)}",
@@ -126,7 +133,7 @@ def _cmd_run(args) -> int:
     costs = CostModel(**overrides)
     result = execute(module, costs=costs, runtime_rules=rules, step_limit=args.step_limit)
     if args.trace:
-        Path(args.trace).write_text(write_trace(result.events), encoding="utf-8")
+        _write_text(args.trace, write_trace(result.events))
     status = "uncaught-exception" if result.uncaught else str(result.exit_value)
     # execute returns only balanced traces: one X record for every E.
     enters = (len(result.events) - len(result.events.definitions)) // 2
@@ -172,7 +179,7 @@ def _cmd_suggest(args) -> int:
     profile = build_profile(events)
     text = suggest_filter(profile, args.max_ticks_per_visit, args.min_visits)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -11,7 +11,7 @@ pseudo-ops to their static descriptors.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, NoReturn
 
@@ -523,27 +523,6 @@ def _strip_comment(line: str) -> str:
     return line[:end] if line.startswith(";", end) else line
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_line(self) -> tuple[int, str] | None:
-        while self.pos < len(self.lines):
-            raw = self.lines[self.pos]
-            self.pos += 1
-            stripped = _strip_comment(raw).strip()
-            if stripped:
-                return self.pos, stripped
-        return None
-
-    def peek_line(self) -> tuple[int, str] | None:
-        save = self.pos
-        item = self.next_line()
-        self.pos = save
-        return item
-
-
 _REG_RE = re.compile(r"r\d+\Z")
 _IMM_RE = re.compile(r"-?\d+\Z")
 
@@ -776,102 +755,88 @@ def _parse_region_line(line: str) -> RegionDescriptor:
 
 def parse_module(text: str, source_name: str = "") -> IrModule:
     """Parse and validate module text; raises with line/column on errors."""
-    p = _Parser(text)
-    try:
-        return _parse_lines(p, source_name)
-    except _SyntaxAt as exc:
-        # A header's error, on the line read last; columns count its indent.
-        message, pos = exc.args
-        raw = p.lines[p.pos - 1]
-        col = len(raw) - len(raw.lstrip()) + pos + 1
-        raise IrParseError(message, p.pos, col) from None
-
-
-def _parse_lines(p: _Parser, source_name: str) -> IrModule:
-    item = p.next_line()
-    if item is None:
+    code = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if (line := _strip_comment(raw).strip())
+    ]
+    if not code:
         raise IrParseError("missing module line", 1)
-    lineno, line = item
-    if not line.startswith("module"):
-        raise IrParseError("first line must be module \"<name>\"", lineno)
-    pos = _BLANKS_RE.match(line, len("module")).end()
-    name, end = _read_quoted(line, pos)
-    rest = line[end:].lstrip()
-    if rest:
-        raise _SyntaxAt("unexpected text after module name", len(line) - len(rest))
-    module = IrModule(name=name, source_file_default=source_name)
-    # Source lines by validate's where: function, block, instruction.
-    seen_names: dict[str, int] = {}
-    block_lines: dict[str, int] = {}
-    instr_lines: dict[tuple[str, int], int] = {}
+    # One iterator over the code lines, shared with _parse_body.
+    lines = enumerate(code)
+    # validate's names, a function or its block, by the index in code of
+    # the header or label line.
+    heads: dict[str, int] = {}
     parsed: dict[str, Instruction] = {}
-
-    while True:
-        item = p.next_line()
-        if item is None:
-            break
-        lineno, line = item
-        if line.startswith("extern"):
-            rest = line[len("extern") :].strip()
-            name = _parse_target(rest, lineno)
-            if name in seen_names:
-                raise IrParseError(f"duplicate function name '{name}'", lineno)
-            seen_names[name] = lineno
-            module.functions.append(IrFunction(mangled_name=name, is_extern=True))
-        elif line.startswith("func"):
-            f = _parse_func_header(line)
-            if f.mangled_name in seen_names:
-                raise IrParseError(
-                    f"duplicate function name '{f.mangled_name}'", lineno
-                )
-            seen_names[f.mangled_name] = lineno
-            _parse_body(p, f, block_lines, instr_lines, parsed, lineno)
-            module.functions.append(f)
-        elif line == "regions:":
-            while True:
-                peeked = p.peek_line()
-                if peeked is None or not peeked[1].startswith("region "):
-                    break
-                rlineno, rline = p.next_line()
-                desc = _parse_region_line(rline)
+    _, (lineno, line) = next(lines)
+    try:
+        if not line.startswith("module"):
+            raise IrParseError("first line must be module \"<name>\"", lineno)
+        pos = _BLANKS_RE.match(line, len("module")).end()
+        name, end = _read_quoted(line, pos)
+        rest = line[end:].lstrip()
+        if rest:
+            raise _SyntaxAt("unexpected text after module name", len(line) - len(rest))
+        module = IrModule(name=name, source_file_default=source_name)
+        # Region lines follow `regions:` or another region line.
+        in_table = False
+        for index, (lineno, line) in lines:
+            if in_table and line.startswith("region "):
+                desc = _parse_region_line(line)
                 if desc.region_id in module.regions:
-                    raise IrParseError(
-                        f"duplicate region id {desc.region_id}", rlineno
-                    )
+                    raise IrParseError(f"duplicate region id {desc.region_id}", lineno)
                 module.regions[desc.region_id] = desc
-        else:
-            raise IrParseError(f"unexpected top-level line '{line}'", lineno)
+                continue
+            in_table = line == "regions:"
+            if line.startswith("extern"):
+                name = _parse_target(line[len("extern") :].strip(), lineno)
+                f = IrFunction(name, is_extern=True)
+            elif line.startswith("func"):
+                f = _parse_func_header(line)
+            elif in_table:
+                continue
+            else:
+                raise IrParseError(f"unexpected top-level line '{line}'", lineno)
+            if f.mangled_name in heads:
+                raise IrParseError(f"duplicate function name '{f.mangled_name}'", lineno)
+            heads[f.mangled_name] = index
+            if not f.is_extern:
+                _parse_body(lines, f, heads, parsed, lineno)
+            module.functions.append(f)
+    except _SyntaxAt as exc:
+        # A header's error; columns count its indent.
+        message, pos = exc.args
+        raw = text.splitlines()[lineno - 1]
+        col = len(raw) - len(raw.lstrip()) + pos + 1
+        raise IrParseError(message, lineno, col) from None
 
     violations = validate(module)
     if violations:
         # validate judges structure; the parser only names the source line
-        # of its first violation.  Region violations have none.
+        # of its first violation: a function's header, a block's label, or
+        # the code line that an instruction index places after its label.
+        # Region violations have none.
         v = violations[0]
-        lines = {**seen_names, **block_lines}
-        lines.update((f"{where}[{i}]", n) for (where, i), n in instr_lines.items())
-        if v.where in lines:
-            raise IrParseError(str(v), lines[v.where])
+        where, _, i = v.where.removesuffix("]").partition("[")
+        if where in heads:
+            index = heads[where] + (int(i) + 1 if i else 0)
+            raise IrParseError(str(v), code[index][0])
         raise IrValidationError(violations)
     return module
 
 
 def _parse_body(
-    p: _Parser,
+    lines: Iterator[tuple[int, tuple[int, str]]],
     f: IrFunction,
-    block_lines: dict[str, int],
-    instr_lines: dict[tuple[str, int], int],
+    heads: dict[str, int],
     parsed: dict[str, Instruction],
     header_line: int,
 ) -> None:
-    item = p.next_line()
-    if item is None or item[1] != "{":
+    item = next(lines, None)
+    if item is None or item[1][1] != "{":
         raise IrParseError("expected '{' after func header", header_line)
     current: BasicBlock | None = None
-    while True:
-        item = p.next_line()
-        if item is None:
-            raise IrParseError("unterminated function body", header_line)
-        lineno, line = item
+    for index, (lineno, line) in lines:
         if line == "}":
             return
         if line.startswith("^"):
@@ -881,9 +846,9 @@ def _parse_body(
             if not _LABEL_RE.match(label):
                 raise IrParseError(f"bad block label '{label}'", lineno)
             where = f"{f.mangled_name}/^{label}"
-            if where in block_lines:
+            if where in heads:
                 raise IrParseError(f"duplicate block label '{label}'", lineno)
-            block_lines[where] = lineno
+            heads[where] = index
             current = BasicBlock(label)
             f.blocks.append(current)
             continue
@@ -893,6 +858,5 @@ def _parse_body(
         ins = parsed.get(line)
         if ins is None:
             ins = parsed[line] = parse_instruction(line, lineno)
-        instr_lines[(where, len(current.instructions))] = lineno
         current.instructions.append(ins)
-
+    raise IrParseError("unterminated function body", header_line)

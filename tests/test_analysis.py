@@ -136,6 +136,11 @@ class TestCompareRuns:
         with pytest.raises(ValueError):
             compare_runs([])
 
+    def test_enter_of_undefined_handle_rejected(self):
+        events = [TraceEvent("E", 0, 5), TraceEvent("X", 1, 5)]
+        with pytest.raises(TraceError, match="^enter for undefined handle 5$"):
+            compare_runs([("a", events)])
+
 
 class TestSuggestFilter:
     def _profile(self, *entries):

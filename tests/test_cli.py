@@ -251,6 +251,39 @@ class TestCompareSuggest:
         ) == 1
 
 
+class TestUnwritableOutput:
+    """An output path in a missing directory is an input error, exit 2,
+    named on stderr without a traceback."""
+
+    def _check(self, capsys, path, *argv):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_instrument_output(self, tmp_path, capsys):
+        out = tmp_path / "no" / "out.ir"
+        self._check(
+            capsys, out, "instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0"
+        )
+
+    def test_run_trace(self, tmp_path, capsys):
+        out = tmp_path / "out.ir"
+        assert run_cli("instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0") == 0
+        trc = tmp_path / "no" / "t.trc"
+        self._check(capsys, trc, "run", out, "--trace", trc)
+
+    def test_suggest_filter_output(self, tmp_path, capsys):
+        out, trc = tmp_path / "out.ir", tmp_path / "t.trc"
+        assert run_cli("instrument", LISTING1, "-o", out, "--mode", "plugin", "-O0") == 0
+        assert run_cli("run", out, "--trace", trc) == 0
+        flt = tmp_path / "no" / "s.flt"
+        self._check(
+            capsys, flt, "suggest-filter", trc, "--max-ticks-per-visit", "1",
+            "--min-visits", "1", "-o", flt,
+        )
+
+
 class TestParserReuse:
     """main builds its argument parser once per process; every call must
     still parse as if the parser were new."""
