@@ -18,7 +18,7 @@ from .filters import FilterRuleSet, classify
 from .ir import (
     BasicBlock,
     HOOK_OPS,
-    Instruction,
+    InstructionTable,
     IrFunction,
     IrModule,
     IrValidationError,
@@ -26,7 +26,7 @@ from .ir import (
     is_empty_body,
     validate,
 )
-from .optimizer import OptLevel, inline_pass
+from .optimizer import OptLevel, inline_in_place, inline_pass
 
 InstrumentationMode = Literal["auto", "plugin"]
 
@@ -112,17 +112,22 @@ def insert_entry_hook(f: IrFunction, region_id: int) -> IrFunction:
     if _has_hooks(f):
         raise InstrumentError(f"@{f.mangled_name} is already instrumented")
     out = f.clone()
-    entry = out.entry_block()
+    _insert_entry_hook(out, region_id, InstructionTable())
+    return out
+
+
+def _insert_entry_hook(f: IrFunction, region_id: int, table: InstructionTable) -> None:
+    """``insert_entry_hook`` on ``f`` itself."""
+    entry = f.entry_block()
     at = len(entry.instructions) - 1
     for i, ins in enumerate(entry.instructions):
         if ins.op in ("call", "call.try"):
             at = i
             break
     entry.instructions[at:at] = [
-        Instruction("hook.register", (region_id,)),
-        Instruction("hook.enter", (region_id,)),
+        table["hook.register", (region_id,)],
+        table["hook.enter", (region_id,)],
     ]
-    return out
 
 
 def _fresh_label(taken: set[str], base: str) -> str:
@@ -160,6 +165,14 @@ def enforce_finally(
     if any(ins.op == "hook.exit" for b in f.blocks for ins in b.instructions):
         raise InstrumentError(f"@{f.mangled_name} already has exit hooks")
     out = f.clone()
+    _enforce_finally(out, region_id, extern_names, InstructionTable())
+    return out
+
+
+def _enforce_finally(
+    out: IrFunction, region_id: int, extern_names: frozenset[str], table: InstructionTable
+) -> None:
+    """``enforce_finally`` on ``out`` itself."""
     taken = out.labels()
     fin_ret = _fresh_label(taken, "__fin_ret")
     fin_unwind = _fresh_label(taken, "__fin_unwind")
@@ -174,13 +187,13 @@ def enforce_finally(
         if term.op == "ret":
             if term.args:
                 block.instructions[-1:] = [
-                    Instruction("addi", (RET_REG, term.args[0], 0)),
-                    Instruction("jmp", (fin_ret,)),
+                    table["addi", (RET_REG, term.args[0], 0)],
+                    table["jmp", (fin_ret,)],
                 ]
             else:
-                block.instructions[-1] = Instruction("jmp", (fin_bare,))
+                block.instructions[-1] = table["jmp", (fin_bare,)]
         elif term.op in ("throw", "rethrow"):
-            block.instructions[-1] = Instruction("jmp", (fin_unwind,))
+            block.instructions[-1] = table["jmp", (fin_unwind,)]
 
     # Split blocks so every unwind-capable plain call gets its own
     # try edge into the landing block.
@@ -193,30 +206,18 @@ def enforce_finally(
                 cont_n += 1
                 cont = _fresh_label(taken, f"__cont{cont_n}")
                 rest = block.instructions[ii + 1 :]
-                block.instructions[ii:] = [
-                    Instruction(
-                        "call.try", (*ins.args, cont, fin_unwind)
-                    )
-                ]
+                block.instructions[ii:] = [table["call.try", (*ins.args, cont, fin_unwind)]]
                 out.blocks.insert(bi + 1, BasicBlock(cont, rest))
                 break
         bi += 1
 
-    ret = Instruction("ret", (RET_REG,)) if valued else Instruction("ret")
-    out.blocks.append(
-        BasicBlock(fin_ret, [Instruction("hook.exit", (region_id,)), ret])
-    )
+    exit_hook = table["hook.exit", (region_id,)]
+    bare_ret = table["ret", ()]
+    ret = table["ret", (RET_REG,)] if valued else bare_ret
+    out.blocks.append(BasicBlock(fin_ret, [exit_hook, ret]))
     if fin_bare != fin_ret:
-        out.blocks.append(
-            BasicBlock(fin_bare, [Instruction("hook.exit", (region_id,)), Instruction("ret")])
-        )
-    out.blocks.append(
-        BasicBlock(
-            fin_unwind,
-            [Instruction("hook.exit", (region_id,)), Instruction("rethrow")],
-        )
-    )
-    return out
+        out.blocks.append(BasicBlock(fin_bare, [exit_hook, bare_ret]))
+    out.blocks.append(BasicBlock(fin_unwind, [exit_hook, table["rethrow", ()]]))
 
 
 def instrument_module(
@@ -230,10 +231,13 @@ def instrument_module(
     Plugin mode inlines first and then instruments what survived under
     the rule set; auto mode instruments everything first and inlines
     afterwards, so hooks of inlined bodies travel into their callers.
+    Either way the module is copied once, and the copy is instrumented
+    and inlined in place with one instruction table.
     """
+    table = InstructionTable()
     if mode == "plugin":
-        # inline_pass validates m before it copies it.
-        work, _ = inline_pass(m, level)
+        # inline_pass validates its copy of m.
+        work, _ = inline_pass(m, level, table)
     else:
         violations = validate(m)
         if violations:
@@ -248,7 +252,7 @@ def instrument_module(
     externs = frozenset(f.mangled_name for f in work.functions if f.is_extern)
     report = InstrumentationReport()
     next_id = 0
-    for idx, f in enumerate(work.functions):
+    for f in work.functions:
         decision = should_instrument(f, rules, mode)
         if not decision.instrument:
             report.skipped.append((f.mangled_name, decision.reason))
@@ -257,13 +261,12 @@ def instrument_module(
         if not desc.file and work.source_file_default:
             desc = replace(desc, file=work.source_file_default)
         next_id += 1
-        g = insert_entry_hook(f, desc.region_id)
-        g = enforce_finally(g, desc.region_id, externs)
-        work.functions[idx] = g
+        _insert_entry_hook(f, desc.region_id, table)
+        _enforce_finally(f, desc.region_id, externs, table)
         work.regions[desc.region_id] = desc
         report.instrumented.append((f.mangled_name, desc.region_id))
 
     if mode == "auto":
-        work, _ = inline_pass(work, level)
+        inline_in_place(work, level, table)
     descriptors = [work.regions[rid] for rid in sorted(work.regions)]
     return work, report, descriptors

@@ -111,10 +111,12 @@ class Instruction:
 
     op: str
     args: tuple = ()
-    # validate's context-free verdict (_judge), stored on this object the
-    # first time it is checked.  Not a field: equality, hash and repr
-    # ignore it, and copies and pickles leave it behind (__getstate__).
+    # validate's context-free verdict (_judge) and the printed text
+    # (format_instruction), each stored on this object the first time it
+    # is computed.  Not fields: equality, hash and repr ignore them, and
+    # copies and pickles leave them behind (__getstate__).
     _verdict = None
+    _text = None
 
     def __getstate__(self) -> dict:
         return {"op": self.op, "args": self.args}
@@ -138,10 +140,14 @@ class Instruction:
         return self.args[_ARG_REGISTERS.get(self.op, _NONE)]
 
     def remap(
-        self, regs: dict[int, int], labels: dict[str, str] | None = None
+        self,
+        regs: dict[int, int],
+        labels: dict[str, str] | None = None,
+        table: InstructionTable | None = None,
     ) -> "Instruction":
         """This instruction with its registers renamed through ``regs``
-        and, when ``labels`` is given, its labels renamed through it."""
+        and, when ``labels`` is given, its labels renamed through it.  A
+        renamed copy comes from ``table`` when one is given."""
         at_regs = _REGISTERS[self.op]
         at_labels = _NONE if labels is None else _LABELS[self.op]
         if at_regs is _NONE and at_labels is _NONE:
@@ -151,7 +157,19 @@ class Instruction:
             args[at_regs] = [regs[r] for r in args[at_regs]]
         if at_labels is not _NONE:
             args[at_labels] = [labels[label] for label in args[at_labels]]
-        return Instruction(self.op, tuple(args))
+        key = (self.op, tuple(args))
+        return Instruction(*key) if table is None else table[key]
+
+
+class InstructionTable(dict):
+    """The instructions one compile pass builds, by ``(op, args)``:
+    ``table[op, args]`` is the one object of that value, built on first
+    use, so each is checked and printed once.  A pass owns its table,
+    which dies with it."""
+
+    def __missing__(self, key: tuple) -> Instruction:
+        ins = self[key] = Instruction(*key)
+        return ins
 
 
 @dataclass
@@ -457,14 +475,21 @@ def _read_quoted(line: str, pos: int) -> tuple[str, int]:
 
 
 def format_instruction(ins: Instruction) -> str:
-    # Only the operand count is checked here; validate checks types.
-    n = len(ins.args)
-    syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
-    if syntax is None:
+    """The text of ``ins``, stored on it the first time.  An unknown op
+    or operands that do not fit its signature in count or type raise
+    ValueError; range defects, which validate reports, still print."""
+    if ins._text is not None:
+        return ins._text
+    defects, in_context = ins._verdict or _judge(ins)
+    if defects and not in_context:
         if ins.op not in ALL_OPS:
             raise ValueError(f"unknown op {ins.op!r}")
         raise ValueError(_bad_operands(ins))
-    return syntax.template.format(*ins.args)
+    n = len(ins.args)
+    syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
+    text = syntax.template.format(*ins.args)
+    object.__setattr__(ins, "_text", text)
+    return text
 
 
 def print_module(m: IrModule) -> str:
@@ -490,7 +515,7 @@ def print_module(m: IrModule) -> str:
         for b in f.blocks:
             lines.append(f"^{b.label}:")
             for ins in b.instructions:
-                lines.append("  " + format_instruction(ins))
+                lines.append("  " + (ins._text or format_instruction(ins)))
         lines.append("}")
     if m.regions:
         lines.append("")

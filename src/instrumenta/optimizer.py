@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .ir import (
     BasicBlock,
     Instruction,
+    InstructionTable,
     IrFunction,
     IrModule,
     IrValidationError,
@@ -107,9 +108,10 @@ def _register_counts(runs: Iterable[list[Instruction]]) -> Counter:
 
 
 class _Inliner:
-    def __init__(self, module: IrModule, threshold: int):
+    def __init__(self, module: IrModule, threshold: int, table: InstructionTable):
         self.module = module
         self.threshold = threshold
+        self.table = table
         self.report = InlineReport()
         self.skip_seen: set[tuple[InlineSite, str]] = set()
         self.functions = {f.mangled_name: f for f in module.functions}
@@ -213,22 +215,22 @@ class _Inliner:
             if not (wanted & taken):
                 return prefix
 
-    @staticmethod
     def _copy_body(
-        body: list[Instruction], rmap: dict[int, int],
+        self, body: list[Instruction], rmap: dict[int, int],
         lmap: dict[str, str] | None = None, cont: str | None = None,
     ) -> list[Instruction]:
         """``body`` renamed through ``rmap`` and ``lmap``; a ``ret`` becomes a copy
         of its register, if any, into the caller's r0, then ``jmp cont`` if given."""
+        table = self.table
         out: list[Instruction] = []
         for ins in body:
             if ins.op != "ret":
-                out.append(ins.remap(rmap, lmap))
+                out.append(ins.remap(rmap, lmap, table))
                 continue
             for r in _register_operands(ins):
-                out.append(Instruction("addi", (0, rmap[r], 0)))
+                out.append(table["addi", (0, rmap[r], 0)])
             if cont is not None:
-                out.append(Instruction("jmp", (cont,)))
+                out.append(table["jmp", (cont,)])
         return out
 
     def inline_at(
@@ -253,9 +255,9 @@ class _Inliner:
         init: list[Instruction] = []
         for creg in rmap:
             if creg < len(args):
-                init.append(Instruction("addi", (rmap[creg], args[creg], 0)))
+                init.append(self.table["addi", (rmap[creg], args[creg], 0)])
             else:
-                init.append(Instruction("li", (rmap[creg], 0)))
+                init.append(self.table["li", (rmap[creg], 0)])
 
         block = caller.blocks[bi]
         # Validated blocks are never empty.
@@ -275,7 +277,7 @@ class _Inliner:
             for b in callee.blocks
         ]
         cont = BasicBlock(cont_label, block.instructions[ii + 1 :])
-        head = init + [Instruction("jmp", (lmap[callee.blocks[0].label],))]
+        head = init + [self.table["jmp", (lmap[callee.blocks[0].label],)]]
         block.instructions = block.instructions[:ii] + head
         caller.blocks[bi + 1 : bi + 1] = new_blocks + [cont]
         self.recount(caller, call, [head] + [nb.instructions for nb in new_blocks])
@@ -291,19 +293,32 @@ class _Inliner:
         counts -= Counter(_register_operands(call))
 
 
-def inline_pass(m: IrModule, level: OptLevel) -> tuple[IrModule, InlineReport]:
-    """Inline eligible call sites; O0 returns the module unchanged.
+def inline_pass(
+    m: IrModule, level: OptLevel, table: InstructionTable | None = None
+) -> tuple[IrModule, InlineReport]:
+    """Inline eligible call sites in a copy; O0 returns the copy unchanged.
 
     The input module is never mutated.  Semantics are preserved: the
     transformed module computes the same exit value, with tick totals
-    differing only by removed call overhead and inserted plumbing.
+    differing only by removed call overhead and inserted plumbing.  The
+    instructions it builds come from ``table``, the table of the pass
+    this call is part of, or else from a table of its own.
     """
+    if table is None:
+        table = InstructionTable()
+    result = m.clone()
+    return result, inline_in_place(result, level, table)
+
+
+def inline_in_place(
+    m: IrModule, level: OptLevel, table: InstructionTable
+) -> InlineReport:
+    """``inline_pass`` on ``m`` itself: validate it, then inline in place."""
     violations = validate(m)
     if violations:
         raise IrValidationError(violations)
-    result = m.clone()
     if level.inline_threshold <= 0:
-        return result, InlineReport()
-    worker = _Inliner(result, level.inline_threshold)
+        return InlineReport()
+    worker = _Inliner(m, level.inline_threshold, table)
     worker.run()
-    return result, worker.report
+    return worker.report

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -518,6 +519,38 @@ class TestValidate:
     def test_bad_operand_count_is_not_printed(self):
         with pytest.raises(ValueError, match="'li' takes operands 'ri', got \\(1,\\)"):
             format_instruction(I("li", 1))
+
+    @pytest.mark.parametrize(
+        "ins",
+        [I("work", "3"), I("jmp", 5), I("li", 1, True), I("add", 1, "r2", 3),
+         I("call", 7), I("call.try", "f", 1, "n", 2), I("hook.exit", "0"), I("ret", "r1")],
+        ids=lambda ins: f"{ins.op}{ins.args}",
+    )
+    def test_bad_operand_type_is_not_printed(self, ins):
+        message = re.escape(f"'{ins.op}' takes operands ")
+        with pytest.raises(ValueError, match=message):
+            format_instruction(ins)
+        f = _valid_function("main")
+        f.blocks[0].instructions = [ins] if ins.is_terminator else [ins, I("ret")]
+        with pytest.raises(ValueError, match=message):
+            print_module(IrModule(name="m", functions=[f]))
+
+    def test_unknown_op_is_not_printed(self):
+        f = _valid_function("main")
+        f.blocks[0].instructions = [I("nop"), I("ret")]
+        with pytest.raises(ValueError, match="unknown op 'nop'"):
+            print_module(IrModule(name="m", functions=[f]))
+
+    def test_range_defects_still_print(self):
+        ins = [I("li", 16, 0), I("work", 0), I("call", "f", *range(9)), I("ret", -1)]
+        texts = ["li r16, 0", "work 0", "call @f, " + ", ".join(f"r{r}" for r in range(9)),
+                 "ret r-1"]
+        assert [format_instruction(i) for i in ins] == texts
+        f = _valid_function("main")
+        f.blocks[0].instructions = ins
+        codes = {v.code for v in validate(IrModule(name="m", functions=[f]))}
+        assert {"bad-register", "bad-work-count", "too-many-args"} <= codes
+        assert "".join(f"  {t}\n" for t in texts) in print_module(IrModule("m", [f]))
 
     def test_violations_name_the_spot(self):
         f = _valid_function()

@@ -19,6 +19,7 @@ from instrumenta.ir import (
     IrModule,
     _check_instruction,
     _judge,
+    format_instruction,
     parse_instruction,
     parse_module,
     print_module,
@@ -68,6 +69,38 @@ def test_checked_instruction_is_indistinguishable_from_a_fresh_one():
         ):
             assert twin == fresh and repr(twin) == repr(fresh)
             assert not _stored(twin)
+    assert [f.name for f in dataclasses.fields(Instruction)] == ["op", "args"]
+
+
+def test_printed_instruction_is_indistinguishable_from_a_fresh_one():
+    printed_count = 0
+    for ins in _distinct():
+        printed, fresh = Instruction(ins.op, ins.args), Instruction(ins.op, ins.args)
+        try:
+            text = format_instruction(printed)
+        except ValueError:  # malformed: the verdict is stored, no text
+            assert _stored(printed) and "_text" not in vars(printed)
+            continue
+        printed_count += 1
+        assert vars(printed)["_text"] == text
+        assert format_instruction(Instruction(ins.op, ins.args)) == text
+        assert vars(fresh) == {"op": ins.op, "args": ins.args}
+        assert printed == fresh and not printed != fresh
+        assert hash(printed) == hash(fresh)
+        assert repr(printed) == repr(fresh)
+        assert dataclasses.astuple(printed) == dataclasses.astuple(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(printed, protocol)
+            assert data == pickle.dumps(fresh, protocol)
+            assert vars(pickle.loads(data)) == vars(fresh)
+        for twin in (
+            copy.copy(printed),
+            copy.deepcopy(printed),
+            dataclasses.replace(printed),
+        ):
+            assert twin == fresh and repr(twin) == repr(fresh)
+            assert vars(twin) == vars(fresh)
+    assert printed_count > 900
     assert [f.name for f in dataclasses.fields(Instruction)] == ["op", "args"]
 
 
