@@ -11,8 +11,10 @@ pseudo-ops to their static descriptors.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import compress, count, repeat
 from typing import NamedTuple, NoReturn
 
 from .symbols import demangle
@@ -778,22 +780,34 @@ def _parse_region_line(line: str) -> RegionDescriptor:
     )
 
 
+class _ParsedLines(dict):
+    """Instructions by line, each parsed on first use, so that equal lines
+    share one.  A line that does not parse raises with line 0: only its
+    reader knows where it stands."""
+
+    def __missing__(self, line: str) -> Instruction:
+        ins = self[line] = parse_instruction(line, 0)
+        return ins
+
+
 def parse_module(text: str, source_name: str = "") -> IrModule:
     """Parse and validate module text; raises with line/column on errors."""
-    code = [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), 1)
-        if (line := _strip_comment(raw).strip())
+    # The code lines, their numbers in the text and the indices of the
+    # block labels among them.  Only a line with a ';' can hold a comment.
+    stripped = [
+        (_strip_comment(raw) if ";" in raw else raw).strip()
+        for raw in text.splitlines()
     ]
-    if not code:
+    lines = list(filter(None, stripped))
+    if not lines:
         raise IrParseError("missing module line", 1)
-    # One iterator over the code lines, shared with _parse_body.
-    lines = enumerate(code)
+    linenos = list(compress(count(1), stripped))
+    labels = list(compress(count(), map(str.startswith, lines, repeat("^"))))
     # validate's names, a function or its block, by the index in code of
     # the header or label line.
     heads: dict[str, int] = {}
-    parsed: dict[str, Instruction] = {}
-    _, (lineno, line) = next(lines)
+    parsed = _ParsedLines()
+    lineno, line = linenos[0], lines[0]
     try:
         if not line.startswith("module"):
             raise IrParseError("first line must be module \"<name>\"", lineno)
@@ -805,12 +819,15 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
         module = IrModule(name=name, source_file_default=source_name)
         # Region lines follow `regions:` or another region line.
         in_table = False
-        for index, (lineno, line) in lines:
+        index = 1
+        while index < len(lines):
+            lineno, line = linenos[index], lines[index]
             if in_table and line.startswith("region "):
                 desc = _parse_region_line(line)
                 if desc.region_id in module.regions:
                     raise IrParseError(f"duplicate region id {desc.region_id}", lineno)
                 module.regions[desc.region_id] = desc
+                index += 1
                 continue
             in_table = line == "regions:"
             if line.startswith("extern"):
@@ -819,6 +836,7 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
             elif line.startswith("func"):
                 f = _parse_func_header(line)
             elif in_table:
+                index += 1
                 continue
             else:
                 raise IrParseError(f"unexpected top-level line '{line}'", lineno)
@@ -826,8 +844,9 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
                 raise IrParseError(f"duplicate function name '{f.mangled_name}'", lineno)
             heads[f.mangled_name] = index
             if not f.is_extern:
-                _parse_body(lines, f, heads, parsed, lineno)
+                index = _parse_body(lines, linenos, labels, index, f, heads, parsed)
             module.functions.append(f)
+            index += 1
     except _SyntaxAt as exc:
         # A header's error; columns count its indent.
         message, pos = exc.args
@@ -845,43 +864,49 @@ def parse_module(text: str, source_name: str = "") -> IrModule:
         where, _, i = v.where.removesuffix("]").partition("[")
         if where in heads:
             index = heads[where] + (int(i) + 1 if i else 0)
-            raise IrParseError(str(v), code[index][0])
+            raise IrParseError(str(v), linenos[index])
         raise IrValidationError(violations)
     return module
 
 
 def _parse_body(
-    lines: Iterator[tuple[int, tuple[int, str]]],
-    f: IrFunction,
-    heads: dict[str, int],
-    parsed: dict[str, Instruction],
-    header_line: int,
-) -> None:
-    item = next(lines, None)
-    if item is None or item[1][1] != "{":
+    lines: list[str], linenos: list[int], labels: list[int], at: int,
+    f: IrFunction, heads: dict[str, int], parsed: _ParsedLines,
+) -> int:
+    """Read the body of ``f``, whose header is code line ``at``, one block
+    at a time; returns the index of its closing ``}``.  Errors come in
+    line order: those of a block, then those of the next one, then a
+    missing ``}``."""
+    header_line = linenos[at]
+    if lines[at + 1 : at + 2] != ["{"]:
         raise IrParseError("expected '{' after func header", header_line)
-    current: BasicBlock | None = None
-    for index, (lineno, line) in lines:
-        if line == "}":
-            return
-        if line.startswith("^"):
-            if not line.endswith(":"):
-                raise IrParseError("block label must end with ':'", lineno)
-            label = line[1:-1]
-            if not _LABEL_RE.match(label):
-                raise IrParseError(f"bad block label '{label}'", lineno)
-            where = f"{f.mangled_name}/^{label}"
-            if where in heads:
-                raise IrParseError(f"duplicate block label '{label}'", lineno)
-            heads[where] = index
-            current = BasicBlock(label)
-            f.blocks.append(current)
-            continue
-        if current is None:
-            raise IrParseError("instruction before first block label", lineno)
-        # Instructions are immutable, so equal lines share one parse.
-        ins = parsed.get(line)
-        if ins is None:
-            ins = parsed[line] = parse_instruction(line, lineno)
-        current.instructions.append(ins)
-    raise IrParseError("unterminated function body", header_line)
+    start = at + 2
+    try:
+        end = lines.index("}", start)
+    except ValueError:
+        end = len(lines)
+    own = labels[bisect_left(labels, start) : bisect_left(labels, end)]
+    if start < end and own[:1] != [start]:
+        raise IrParseError("instruction before first block label", linenos[start])
+    for k, stop in zip(own, own[1:] + [end]):
+        line = lines[k]
+        if not line.endswith(":"):
+            raise IrParseError("block label must end with ':'", linenos[k])
+        label = line[1:-1]
+        if not _LABEL_RE.match(label):
+            raise IrParseError(f"bad block label '{label}'", linenos[k])
+        where = f"{f.mangled_name}/^{label}"
+        if where in heads:
+            raise IrParseError(f"duplicate block label '{label}'", linenos[k])
+        heads[where] = k
+        try:
+            instructions = list(map(parsed.__getitem__, lines[k + 1 : stop]))
+        except IrParseError:
+            # The block's first line that did not parse, with its number.
+            bad = next(i for i in range(k + 1, stop) if lines[i] not in parsed)
+            parse_instruction(lines[bad], linenos[bad])
+            raise
+        f.blocks.append(BasicBlock(label, instructions))
+    if end == len(lines):
+        raise IrParseError("unterminated function body", header_line)
+    return end

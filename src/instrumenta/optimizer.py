@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from .ir import (
     BasicBlock,
@@ -22,6 +24,7 @@ from .ir import (
     IrModule,
     IrValidationError,
     NUM_REGISTERS,
+    _CALL_OPS,
     _register_operands,
     validate,
 )
@@ -72,16 +75,15 @@ def inline_cost(f: IrFunction) -> int:
 
 
 def _call_graph(m: IrModule) -> dict[str, set[str]]:
-    graph: dict[str, set[str]] = {}
-    for f in m.functions:
-        edges: set[str] = set()
-        for b in f.blocks:
-            for ins in b.instructions:
-                target = ins.call_target()
-                if target is not None:
-                    edges.add(target)
-        graph[f.mangled_name] = edges
-    return graph
+    return {
+        f.mangled_name: {
+            ins.call_target()
+            for b in f.blocks
+            for ins in b.instructions
+            if ins.op in _CALL_OPS
+        }
+        for f in m.functions
+    }
 
 
 def _recursive_functions(graph: dict[str, set[str]]) -> set[str]:
@@ -107,6 +109,21 @@ def _register_counts(runs: Iterable[list[Instruction]]) -> Counter:
     return Counter(r for run in runs for ins in run for r in _register_operands(ins))
 
 
+class _RegisterCounts(dict):
+    """Register operand counts by function name, counted on first use and
+    then updated at every expanded site: a register is in use while its
+    count is positive."""
+
+    def __init__(self, functions: dict[str, IrFunction]):
+        super().__init__()
+        self.functions = functions
+
+    def __missing__(self, name: str) -> Counter:
+        blocks = self.functions[name].blocks
+        counts = self[name] = _register_counts(b.instructions for b in blocks)
+        return counts
+
+
 class _Inliner:
     def __init__(self, module: IrModule, threshold: int, table: InstructionTable):
         self.module = module
@@ -115,8 +132,6 @@ class _Inliner:
         self.report = InlineReport()
         self.skip_seen: set[tuple[InlineSite, str]] = set()
         self.functions = {f.mangled_name: f for f in module.functions}
-        graph = _call_graph(module)
-        self.recursive = _recursive_functions(graph)
         # Eligibility is judged on the input module's costs so that the
         # site set grows monotonically with the level.
         self.frozen_cost = {
@@ -125,12 +140,27 @@ class _Inliner:
             if not f.is_extern
         }
         self.fresh = 0
-        # Register operand counts per function, updated at every expanded
-        # site: a register is in use while its count is positive.
-        self.registers = {
-            f.mangled_name: _register_counts(b.instructions for b in f.blocks)
-            for f in module.functions
-        }
+        self.registers = _RegisterCounts(self.functions)
+        # The functions whose next scan may change something.
+        self.dirty = {f.mangled_name for f in module.functions if not f.is_extern}
+
+    # Built on first use, which auto mode's call.try sites may never make.
+    @cached_property
+    def calls(self) -> dict[str, set[str]]:
+        """Who may call whom: edges are added, never removed."""
+        return _call_graph(self.module)
+
+    @cached_property
+    def recursive(self) -> set[str]:
+        return _recursive_functions(self.calls)
+
+    @cached_property
+    def callers(self) -> dict[str, set[str]]:
+        callers: dict[str, set[str]] = {name: set() for name in self.calls}
+        for name, targets in self.calls.items():
+            for target in targets:
+                callers[target].add(name)
+        return callers
 
     def ineligible_reason(self, callee_name: str) -> str | None:
         callee = self.functions[callee_name]
@@ -145,11 +175,20 @@ class _Inliner:
         return None
 
     def run(self) -> None:
+        """Scan the dirty functions in module order, round after round,
+        until a round changes nothing.  A scan that expands nothing leaves
+        its function as it was, and the next one can only differ once a
+        callee uses fewer registers; ``recount`` marks its callers dirty,
+        so a later one is scanned in the same round, as in a full rescan."""
+        dirty = self.dirty
         for _ in range(MAX_ROUNDS):
             changed = False
             for f in self.module.functions:
-                if not f.is_extern:
-                    changed |= self.scan_function(f)
+                if f.mangled_name in dirty:
+                    dirty.discard(f.mangled_name)
+                    if self.scan_function(f):
+                        dirty.add(f.mangled_name)
+                        changed = True
             if not changed:
                 return
 
@@ -158,34 +197,30 @@ class _Inliner:
         bi = ii = 0
         while bi < len(caller.blocks):
             block = caller.blocks[bi]
-            if ii >= len(block.instructions):
-                bi, ii = bi + 1, 0
-                continue
-            ins = block.instructions[ii]
-            if ins.op != "call":
+            for ii, ins in enumerate(islice(block.instructions, ii, None), ii):
+                if ins.op not in _CALL_OPS:
+                    continue
+                target = ins.call_target()
+                site = InlineSite(caller.mangled_name, target, block.label, ii)
                 if ins.op == "call.try":
-                    site = InlineSite(
-                        caller.mangled_name, ins.call_target(), block.label, ii
-                    )
                     self.note_skip(site, "exception-edge")
-                ii += 1
-                continue
-            target = ins.call_target()
-            site = InlineSite(caller.mangled_name, target, block.label, ii)
-            reason = self.ineligible_reason(target)
-            if reason is not None:
-                self.note_skip(site, reason)
-                ii += 1
-                continue
-            callee = self.functions[target]
-            rmap = self.register_map(caller, callee)
-            if rmap is None:
-                self.note_skip(site, "register-pressure")
-                ii += 1
-                continue
-            bi, ii = self.inline_at(caller, bi, ii, ins, callee, rmap)
-            self.report.inlined_sites.append(site)
-            changed = True
+                    continue
+                reason = self.ineligible_reason(target)
+                if reason is not None:
+                    self.note_skip(site, reason)
+                    continue
+                callee = self.functions[target]
+                rmap = self.register_map(caller, callee)
+                if rmap is None:
+                    self.note_skip(site, "register-pressure")
+                    continue
+                # The block changes here: go on from just past the site.
+                bi, ii = self.inline_at(caller, bi, ii, ins, callee, rmap)
+                self.report.inlined_sites.append(site)
+                changed = True
+                break
+            else:
+                bi, ii = bi + 1, 0
         return changed
 
     def note_skip(self, site: InlineSite, reason: str) -> None:
@@ -196,10 +231,11 @@ class _Inliner:
     def register_map(
         self, caller: IrFunction, callee: IrFunction
     ) -> dict[int, int] | None:
+        # Counted before the caller's body holds a copy of the callee.
+        used = self.registers[caller.mangled_name]
         callee_regs = sorted(self.registers[callee.mangled_name])
         if not callee_regs:
             return {}
-        used = self.registers[caller.mangled_name]
         free = [r for r in range(NUM_REGISTERS) if r not in used]
         if len(free) < len(callee_regs):
             return None
@@ -259,6 +295,12 @@ class _Inliner:
             else:
                 init.append(self.table["li", (rmap[creg], 0)])
 
+        # The caller now makes the callee's calls too.
+        targets = self.calls[callee.mangled_name]
+        self.calls[caller.mangled_name] |= targets
+        for target in targets:
+            self.callers[target].add(caller.mangled_name)
+
         block = caller.blocks[bi]
         # Validated blocks are never empty.
         if len(callee.blocks) == 1 and callee.blocks[0].instructions[-1].op == "ret":
@@ -286,11 +328,15 @@ class _Inliner:
     def recount(
         self, caller: IrFunction, call: Instruction, inserted: list[list[Instruction]]
     ) -> None:
-        """Count the instructions that replaced ``call`` in ``caller``."""
+        """Count the instructions that replaced ``call`` in ``caller``; if it
+        now uses fewer registers, its callers may now expand it."""
         counts = self.registers[caller.mangled_name]
+        before = len(counts)
         counts += _register_counts(inserted)
         # In-place subtraction drops the registers no longer used.
         counts -= Counter(_register_operands(call))
+        if len(counts) < before:
+            self.dirty |= self.callers[caller.mangled_name]
 
 
 def inline_pass(

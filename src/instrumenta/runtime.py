@@ -331,7 +331,7 @@ def read_trace(text: str) -> Trace:
         elif (d := text.find("D", start, end)) >= 0:  # up to the line of the D
             end = text.rfind("\n", start, d) + 1 or end
         chunk, start = text[start:end], end
-        lines = _read_columns(chunk, trace, by_kind, stack, last_ts)
+        lines = _read_columns(chunk, trace, known, by_kind, stack, last_ts)
         if lines:
             last_ts, lineno = trace.stamps[-1], lineno + lines
         else:
@@ -342,11 +342,13 @@ def read_trace(text: str) -> Trace:
 
 
 def _read_columns(
-    chunk: str, trace: Trace, by_kind: dict[str, dict[str, int]], stack: list[int], last_ts: int
+    chunk: str, trace: Trace, known: set[int], by_kind: dict[str, dict[str, int]],
+    stack: list[int], last_ts: int,
 ) -> int:
     """Append a chunk of canonical ``[EX] <digits> <digits>\\n`` lines as columns
     and return its line count; return 0, leaving trace and stack as they were,
-    if any check fails."""
+    if any check fails.  ``by_kind`` maps each defined handle, as written,
+    to its code once a chunk has met it."""
     n = chunk.count("\n")
     if '"' in chunk or chunk.count(" ") != 2 * n:  # cheap refusals before the translate
         return 0
@@ -355,13 +357,16 @@ def _read_columns(
     fields = chunk.split()  # n lines of three fields, none empty if there are 3n
     if len(fields) != 3 * n:
         return 0
-    enter, exit_ = by_kind["E"], by_kind["X"]
-    for ev in trace.definitions[len(enter):]:
-        enter[str(ev.handle)] = ev.handle
-        exit_[str(ev.handle)] = -ev.handle
     try:
         stamps = list(map(int, fields[1::3]))
-        codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
+        try:
+            codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
+        except KeyError:  # map the handles first met here, then try once more
+            # Those of the defined handles or the chunk's fields, whichever are fewer.
+            for text in map(str, known) if len(known) <= n else set(fields[2::3]):
+                if text.isdigit() and (code := int(text)) in known and str(code) == text:
+                    by_kind["E"][text], by_kind["X"][text] = code, -code
+            codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
     except (KeyError, ValueError):  # a kind or handle not as written, or undefined
         return 0
     if stamps[0] < last_ts or not all(map(le, stamps, islice(stamps, 1, None))):

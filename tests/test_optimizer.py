@@ -19,6 +19,7 @@ from instrumenta.optimizer import (
     O1,
     O2,
     O3,
+    InlineSite,
     OptLevel,
     inline_cost,
     inline_pass,
@@ -202,6 +203,27 @@ class TestInlinePass:
         assert report.inlined_sites == []
         assert ("register-pressure" in {r for _, r in report.skipped})
         assert out == m
+
+    def test_callee_that_frees_registers_is_inlined_next_round(self):
+        # main holds r0-r13, so g, which holds r1, r2 and r5, does not fit
+        # in round 1; inlining h into g frees r5, and round 2 inlines g
+        # into main, though main itself changed nothing in round 1.
+        m = _module(
+            'module "m"\n'
+            'func @main file="a.c" lines=1:8\n{\n^e:\n'
+            "  add r0, r1, r2\n  add r3, r4, r5\n  add r6, r7, r8\n"
+            "  add r9, r10, r11\n  add r12, r13, r13\n  call @g\n  ret r0\n}\n"
+            'func @g file="a.c" lines=9:12\n'
+            "{\n^e:\n  add r1, r1, r2\n  call @h, r5\n  ret r1\n}\n"
+            'func @h file="a.c" lines=13:15\n{\n^e:\n  work 1\n  ret\n}\n'
+        )
+        out, report = inline_pass(m, O1)
+        pairs = [(s.caller, s.callee) for s in report.inlined_sites]
+        assert pairs == [("g", "h"), ("main", "g")]
+        assert report.skipped == [
+            (InlineSite("main", "g", "e", 5), "register-pressure")
+        ]
+        assert execute(out).exit_value == execute(m).exit_value
 
     def test_semantic_preservation_over_corpus(self):
         for path in corpus_paths():
