@@ -8,6 +8,7 @@ per visit are emitted as compile-time exclude rules.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -42,30 +43,43 @@ def build_profile(trace: Iterable[TraceEvent]) -> Profile:
     definitions = trace.definitions
     profile = Profile()
     entries = profile.entries
-    stack: list[list] = []  # [handle, enter_ts, child_ticks]
+    rows: dict[int, list[int]] = {}  # handle -> [visits, inclusive, exclusive]
+    # The innermost open visit, [handle, enter_ts, child_ticks], starting
+    # at a root frame whose handle 0 no exit matches; the stack holds the
+    # frames that enclose it.
+    frame = [0, 0, 0]
+    stack: list[list[int]] = []
+    push, pop = stack.append, stack.pop
     for code, ts in zip(trace.codes, trace.stamps):
         if code > 0:
             if code not in entries:
                 raise TraceError(f"enter for undefined handle {code}")
-            stack.append([code, ts, 0])
-        elif code < 0:
-            if not stack or stack[-1][0] != -code:
+            push(frame)
+            frame = [code, ts, 0]
+        elif code:
+            handle, enter_ts, child = frame
+            if handle != -code:
                 raise TraceError(f"unbalanced exit for handle {-code}")
-            handle, enter_ts, child = stack.pop()
             duration = ts - enter_ts
-            entry = entries[handle]
-            entry.visits += 1
-            entry.inclusive_ticks += duration
-            entry.exclusive_ticks += duration - child
-            if stack:
-                stack[-1][2] += duration
+            # Looked up at exit, so a visit open across a redefinition of
+            # its handle counts for the new entry.
+            row = rows[handle]
+            row[0] += 1
+            row[1] += duration
+            row[2] += duration - child
+            frame = pop()
+            frame[2] += duration
         else:
             ev = definitions[ts]
             d = ev.descriptor
             assert d is not None
             entries[ev.handle] = ProfileEntry(d.name, d.canonical_name)
+            rows[ev.handle] = [0, 0, 0]
     if stack:
         raise TraceError("trace ends inside an open region")
+    for handle, (visits, inclusive, exclusive) in rows.items():
+        entry = entries[handle]
+        entry.visits, entry.inclusive_ticks, entry.exclusive_ticks = visits, inclusive, exclusive
     profile.total_events = len(trace) - len(definitions)
     return profile
 
@@ -103,7 +117,12 @@ class RunComparison:
 
 
 def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
-    """Tabulate enter-event counts per labeled trace, plus region deltas."""
+    """Tabulate enter-event counts per labeled trace, plus region deltas.
+
+    Like ``build_profile``, rejects an enter before its handle's
+    definition; it also rejects a handle whose exits do not match its
+    enters in number.  Their nesting order is ``read_trace``'s check.
+    """
     if not runs:
         raise ValueError("compare_runs needs at least one trace")
     rows: list[tuple[str, int]] = []
@@ -112,19 +131,31 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
     names: dict[str, str] = {}
     for run_idx, (label, trace) in enumerate(runs):
         trace = Trace.of(trace)
+        codes = trace.codes
         handle_to_canonical: dict[int, str] = {}
+        start = 0  # where the records after the last D record seen begin
         for ev in trace.definitions:
+            at = codes.index(0, start)
+            _reject_undefined_enters(codes, start, set(codes[start:at]), handle_to_canonical)
+            start = at + 1
             d = ev.descriptor
             assert d is not None
             handle_to_canonical[ev.handle] = d.canonical_name
             names.setdefault(d.canonical_name, d.name)
             regions.setdefault(d.canonical_name, [0] * len(runs))
-        enters = trace.enter_counts()
+        tally = Counter(codes)
+        enters = {code: n for code, n in tally.items() if code > 0}
+        # Any handle entered and never defined is first entered after the last D.
+        _reject_undefined_enters(codes, start, enters, handle_to_canonical)
+        for code, n in tally.items():
+            if code and n != tally[-code]:
+                handle = abs(code)
+                raise TraceError(
+                    f"handle {handle} has {tally[handle]} enter(s) and {tally[-handle]} exit(s)"
+                )
         for handle, count in enters.items():
-            if handle not in handle_to_canonical:
-                raise TraceError(f"enter for undefined handle {handle}")
             regions[handle_to_canonical[handle]][run_idx] += count
-        rows.append((label, enters.total()))
+        rows.append((label, sum(enters.values())))
     per_region = [
         RegionComparison(
             canonical,
@@ -135,6 +166,17 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
         for canonical, counts in sorted(regions.items())
     ]
     return RunComparison(rows, per_region)
+
+
+def _reject_undefined_enters(
+    codes: list[int], start: int, seen: Iterable[int], defined: dict[int, str]
+) -> None:
+    """Raise for the first enter from ``start`` on of a handle in ``seen``
+    (codes of records from ``start`` on) that is not in ``defined``."""
+    undefined = [code for code in seen if code > 0 and code not in defined]
+    if undefined:
+        first = min(undefined, key=lambda handle: codes.index(handle, start))
+        raise TraceError(f"enter for undefined handle {first}")
 
 
 def suggest_filter(

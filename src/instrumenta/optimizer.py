@@ -11,7 +11,7 @@ present in a callee travels with its body into the caller.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -87,20 +87,46 @@ def _call_graph(m: IrModule) -> dict[str, set[str]]:
 
 
 def _recursive_functions(graph: dict[str, set[str]]) -> set[str]:
-    # A function is recursive when it can reach itself along call edges.
+    """The functions that can reach themselves along call edges: those in a
+    strongly connected component of two or more, and those that call
+    themselves.  Tarjan's algorithm with an explicit stack; a name that is
+    not a key of the graph has no calls."""
+    index: dict[str, int] = {}  # order of discovery
+    low: dict[str, int] = {}  # lowest index reachable within the open path
+    path: list[str] = []  # discovered functions whose component is not yet closed
+    on_path: set[str] = set()
+    work: list[tuple[str, Iterator[str]]] = []  # (function, callees left to visit)
     out: set[str] = set()
-    for start in graph:
-        stack = list(graph.get(start, ()))
-        seen: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node == start:
-                out.add(start)
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(graph.get(node, ()))
+
+    def discover(name: str) -> None:
+        index[name] = low[name] = len(index)
+        path.append(name)
+        on_path.add(name)
+        work.append((name, iter(graph[name])))
+
+    for root in graph:
+        if root not in index:
+            discover(root)
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee in on_path:
+                    low[node] = min(low[node], index[callee])
+                elif callee in graph and callee not in index:
+                    discover(callee)
+                    break
+            else:  # every callee visited
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[node])
+                if low[node] == index[node]:
+                    component = [path.pop()]
+                    while component[-1] != node:
+                        component.append(path.pop())
+                    on_path.difference_update(component)
+                    if len(component) > 1 or node in graph[node]:
+                        out.update(component)
     return out
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import replace
 from itertools import islice
-from operator import eq, getitem, le
+from operator import eq, getitem
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
@@ -307,7 +307,6 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
 # read_trace decodes the text in chunks of about this many characters, each
 # cut just after a line break, so its transient memory stays small.
 _CHUNK_CHARS = 1 << 16
-_DELETE_EX_DIGITS = str.maketrans("", "", "EX0123456789")
 
 
 def read_trace(text: str) -> Trace:
@@ -321,7 +320,7 @@ def read_trace(text: str) -> Trace:
     """
     trace = Trace()
     known: set[int] = set()
-    by_kind: dict[str, dict[str, int]] = {"E": {}, "X": {}}  # handle as written -> code
+    by_kind: dict[bytes, dict[bytes, int]] = {b"E": {}, b"X": {}}  # handle as written -> code
     stack: list[int] = []
     last_ts = lineno = start = 0
     while start < len(text):
@@ -342,19 +341,21 @@ def read_trace(text: str) -> Trace:
 
 
 def _read_columns(
-    chunk: str, trace: Trace, known: set[int], by_kind: dict[str, dict[str, int]],
+    chunk: str, trace: Trace, known: set[int], by_kind: dict[bytes, dict[bytes, int]],
     stack: list[int], last_ts: int,
 ) -> int:
     """Append a chunk of canonical ``[EX] <digits> <digits>\\n`` lines as columns
     and return its line count; return 0, leaving trace and stack as they were,
-    if any check fails.  ``by_kind`` maps each defined handle, as written,
-    to its code once a chunk has met it."""
-    n = chunk.count("\n")
-    if '"' in chunk or chunk.count(" ") != 2 * n:  # cheap refusals before the translate
+    if any check fails.  ``by_kind`` maps each defined handle, as written in
+    ASCII, to its code once a chunk has met it."""
+    if not chunk.isascii():  # O(1) on a str; an ASCII chunk encodes one byte a character
         return 0
-    if chunk.translate(_DELETE_EX_DIGITS) != "  \n" * n:
+    data = chunk.encode("ascii")
+    n = data.count(b"\n")
+    # Deleting E, X and the digits must leave two spaces and a line break per line.
+    if data.translate(None, b"EX0123456789") != b"  \n" * n:
         return 0
-    fields = chunk.split()  # n lines of three fields, none empty if there are 3n
+    fields = data.split()  # n lines of three fields, none empty if there are 3n
     if len(fields) != 3 * n:
         return 0
     try:
@@ -363,13 +364,14 @@ def _read_columns(
             codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
         except KeyError:  # map the handles first met here, then try once more
             # Those of the defined handles or the chunk's fields, whichever are fewer.
-            for text in map(str, known) if len(known) <= n else set(fields[2::3]):
-                if text.isdigit() and (code := int(text)) in known and str(code) == text:
-                    by_kind["E"][text], by_kind["X"][text] = code, -code
+            for text in (b"%d" % h for h in known) if len(known) <= n else set(fields[2::3]):
+                if text.isdigit() and (code := int(text)) in known and b"%d" % code == text:
+                    by_kind[b"E"][text], by_kind[b"X"][text] = code, -code
             codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
     except (KeyError, ValueError):  # a kind or handle not as written, or undefined
         return 0
-    if stamps[0] < last_ts or not all(map(le, stamps, islice(stamps, 1, None))):
+    # sorted() scans an already-sorted list once.
+    if stamps[0] < last_ts or stamps != sorted(stamps):
         return 0
     saved = stack[:]
     push, pop = stack.append, stack.pop

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import gens
 from instrumenta.analysis import (
     Profile,
     ProfileEntry,
@@ -140,6 +143,74 @@ class TestCompareRuns:
         events = [TraceEvent("E", 0, 5), TraceEvent("X", 1, 5)]
         with pytest.raises(TraceError, match="^enter for undefined handle 5$"):
             compare_runs([("a", events)])
+
+    def test_enter_before_its_definition_rejected_like_build_profile(self):
+        events = _events(("E", 0, 5), ("D", 5, "f"), ("X", 1, 5))
+        for analyse in (build_profile, lambda e: compare_runs([("a", e)])):
+            with pytest.raises(TraceError, match="^enter for undefined handle 5$"):
+                analyse(events)
+
+    def test_first_enter_of_an_undefined_handle_named(self):
+        events = _events(
+            ("D", 2, "f"), ("E", 0, 2), ("E", 1, 7), ("X", 2, 7), ("D", 7, "g"),
+            ("E", 3, 6), ("X", 4, 6), ("X", 5, 2),
+        )
+        with pytest.raises(TraceError, match="^enter for undefined handle 7$"):
+            compare_runs([("a", events)])
+        with pytest.raises(TraceError, match="^enter for undefined handle 6$"):
+            compare_runs([("a", events[:1] + events[4:])])
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ((("D", 2, "f"), ("E", 0, 2)), r"^handle 2 has 1 enter\(s\) and 0 exit\(s\)$"),
+            ((("D", 2, "f"), ("X", 0, 2)), r"^handle 2 has 0 enter\(s\) and 1 exit\(s\)$"),
+            ((("D", 2, "f"), ("E", 0, 2), ("X", 1, 2), ("X", 2, 2)), "^handle 2 has 1 enter"),
+            ((("D", 2, "f"), ("E", 0, 2), ("X", 1, 9)), "^handle 2 has 1 enter"),
+        ],
+    )
+    def test_exits_that_do_not_match_enters_rejected(self, items, message):
+        with pytest.raises(TraceError, match=message):
+            compare_runs([("a", _events(*items))])
+
+    def test_crossed_exits_are_left_to_read_trace(self):
+        events = _events(
+            ("D", 2, "f"), ("D", 3, "g"), ("E", 0, 2), ("E", 1, 3), ("X", 2, 2), ("X", 3, 3)
+        )
+        assert compare_runs([("a", events)]).rows == [("a", 2)]
+
+    def test_agrees_with_build_profile_on_damaged_traces(self):
+        # Whatever build_profile accepts, compare_runs accepts with the same
+        # visits; whatever compare_runs rejects, build_profile rejects; and an
+        # undefined enter that build_profile meets first, compare_runs names.
+        rng = random.Random(22)
+        checked = {"accepted": 0, "undefined": 0, "unbalanced": 0}
+        for seed in range(800):
+            events = gens.trace_events(random.Random(seed))
+            if events:
+                i, j = rng.randrange(len(events)), rng.randrange(len(events))
+                rest = events[:i] + events[i + 1:]
+                events = rng.choice([rest, rest[:j] + [events[i]] + rest[j:]])
+            try:
+                profile = build_profile(events)
+            except TraceError as exc:
+                profile, error = None, str(exc)
+            try:
+                table = compare_runs([("a", events)])
+            except TraceError as exc:
+                assert profile is None, events
+                if error.startswith("enter for undefined"):
+                    assert str(exc) == error
+                    checked["undefined"] += 1
+                else:
+                    checked["unbalanced"] += str(exc).startswith("handle ")
+                continue
+            assert profile is not None or not error.startswith("enter for undefined"), events
+            if profile is not None:
+                visits = {e.canonical: e.visits for e in profile.entries.values()}
+                assert {r.canonical: r.counts[0] for r in table.per_region} == visits
+                checked["accepted"] += 1
+        assert min(checked.values()) > 50, checked
 
 
 class TestSuggestFilter:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import corpus_paths, load_corpus
@@ -21,6 +23,7 @@ from instrumenta.optimizer import (
     O3,
     InlineSite,
     OptLevel,
+    _recursive_functions,
     inline_cost,
     inline_pass,
 )
@@ -285,3 +288,81 @@ class TestInlinePass:
             assert validate(out) == []
             got = execute(out).events
             assert len(got) == len(base_events)
+
+
+def reference_recursive_functions(graph):
+    # A function is recursive when it can reach itself along call edges.
+    out = set()
+    for start in graph:
+        stack = list(graph.get(start, ()))
+        seen = set()
+        while stack:
+            node = stack.pop()
+            if node == start:
+                out.add(start)
+                break
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(graph.get(node, ()))
+    return out
+
+
+def _random_call_graph(rng):
+    """Defined functions with acyclic calls, cycles of 1-5 functions laid
+    over them, and calls to externs that are keys with no calls or not
+    keys at all, as ``_call_graph`` may give."""
+    names = [f"f{i}" for i in range(rng.randint(0, 30))]
+    externs = ["ext0", "ext1"]
+    graph = {name: set() for name in names}
+    graph["ext0"] = set()
+    for i, name in enumerate(names):
+        for _ in range(rng.randint(0, 3)):
+            if i + 1 < len(names) and rng.random() < 0.8:
+                graph[name].add(rng.choice(names[i + 1:]))
+            else:
+                graph[name].add(rng.choice(externs))
+    for _ in range(rng.randint(0, 3) if names else 0):
+        cycle = rng.sample(names, min(len(names), rng.randint(1, 5)))
+        for caller, callee in zip(cycle, cycle[1:] + cycle[:1]):
+            graph[caller].add(callee)
+    order = list(graph.items())
+    rng.shuffle(order)
+    return dict(order)
+
+
+def test_recursive_functions_match_reference_on_random_graphs():
+    rng = random.Random(24)
+    recursive = 0
+    for _ in range(3000):
+        graph = _random_call_graph(rng)
+        expected = reference_recursive_functions(graph)
+        assert _recursive_functions(graph) == expected, graph
+        recursive += bool(expected)
+    assert recursive > 1000
+
+
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        ({}, set()),
+        ({"f": {"f"}}, {"f"}),
+        ({"f": {"g"}, "g": {"h"}, "h": {"f", "x"}, "x": set()}, {"f", "g", "h"}),
+        ({"f": {"g", "ext"}, "g": {"g"}, "h": {"f"}}, {"g"}),
+        # Two cycles joined by a one-way edge stay two components.
+        ({"a": {"b"}, "b": {"a", "c"}, "c": {"d"}, "d": {"c"}, "e": {"a"}}, {"a", "b", "c", "d"}),
+    ],
+)
+def test_recursive_functions_by_hand(graph, expected):
+    assert _recursive_functions(graph) == expected == reference_recursive_functions(graph)
+
+
+def test_recursive_functions_on_a_long_chain():
+    # One call path through 20,000 functions, closed into a cycle at the end:
+    # no Python recursion, and linear time.
+    names = [f"f{i}" for i in range(20_000)]
+    graph = {caller: {callee} for caller, callee in zip(names, names[1:])}
+    graph[names[-1]] = set()
+    assert _recursive_functions(graph) == set()
+    graph[names[-1]] = {names[0]}
+    assert _recursive_functions(graph) == set(names)
