@@ -471,9 +471,12 @@ def _read_quoted(line: str, pos: int) -> tuple[str, int]:
         if mo.end(1) < len(line):
             raise _SyntaxAt("bad escape", mo.end(1))
         raise _SyntaxAt("unterminated string", pos)
-    if "\\" in body:
-        body = _ESCAPE_RE.sub(r"\1", body)
-    return body, mo.end()
+    return _unescape(body), mo.end()
+
+
+def _unescape(body: str) -> str:
+    """A string's text from its body as written between the quotes."""
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 def format_instruction(ins: Instruction) -> str:

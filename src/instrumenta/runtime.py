@@ -11,15 +11,14 @@ instrumentation.
 
 from __future__ import annotations
 
-from collections import Counter
+import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import replace
 from itertools import islice
 from operator import eq, getitem
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
-from .ir import RegionDescriptor, _quote, _read_quoted, _SyntaxAt
+from .ir import _STRING, RegionDescriptor, _quote, _read_quoted, _SyntaxAt, _unescape
 
 FILTERED_REGION = 1
 FIRST_VALID_HANDLE = 2
@@ -113,13 +112,6 @@ class Trace(Sequence):
             return _new_event(TraceEvent, ("X", stamp, -code, None))
         return self.definitions[stamp]
 
-    def enter_counts(self) -> Counter[int]:
-        """The number of E records of each handle."""
-        counts = Counter(self.codes)
-        for code in [c for c in counts if c <= 0]:
-            del counts[code]
-        return counts
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -176,9 +168,10 @@ class Monitor:
             handle = FIRST_VALID_HANDLE + len(self.events.definitions)
             # In the trace domain regions are identified by handle; the
             # module-local region id is not serialized.
-            self.events._define(
-                TraceEvent("D", 0, handle, replace(d, region_id=handle))
+            region = RegionDescriptor(
+                handle, d.name, d.canonical_name, d.file, d.begin_lno, d.end_lno, d.flags
             )
+            self.events._define(TraceEvent("D", 0, handle, region))
         self.handles[rid] = handle
         return handle, True
 
@@ -308,6 +301,11 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
 # cut just after a line break, so its transient memory stays small.
 _CHUNK_CHARS = 1 << 16
 
+# A D record in the form write_trace gives it, through its line break.
+_DEFINITION = re.compile(rf'D (\d+) {_STRING}" {_STRING}" {_STRING}" (\d+):(\d+)\n')
+# The ASCII characters besides "\n" at which str.splitlines ends a line.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+
 
 def read_trace(text: str) -> Trace:
     """Parse and validate a trace.
@@ -315,8 +313,10 @@ def read_trace(text: str) -> Trace:
     Rejects malformed lines, enter/exit for handles without a prior
     definition, decreasing timestamps, and any nesting violation (an
     exit must match the innermost open enter; everything opened must be
-    closed by the end).  Chunks of canonical E/X lines are decoded as
-    columns; the line loop decides every other chunk and words every error.
+    closed by the end).  The text is cut into chunks by size alone.  A
+    chunk of canonical E/X lines and of D lines that match the writer's
+    form is decoded as columns; the line loop decides every other chunk
+    and words every error.
     """
     trace = Trace()
     known: set[int] = set()
@@ -325,14 +325,10 @@ def read_trace(text: str) -> Trace:
     last_ts = lineno = start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        if text.startswith("D ", start):  # through the window's last line with a D
-            end = text.find("\n", text.rfind("D", start, end)) + 1 or len(text)
-        elif (d := text.find("D", start, end)) >= 0:  # up to the line of the D
-            end = text.rfind("\n", start, d) + 1 or end
         chunk, start = text[start:end], end
-        lines = _read_columns(chunk, trace, known, by_kind, stack, last_ts)
+        last_ts, lines = _read_columns(chunk, trace, known, by_kind, stack, last_ts)
         if lines:
-            last_ts, lineno = trace.stamps[-1], lineno + lines
+            lineno += lines
         else:
             last_ts, lineno = _read_lines(chunk, trace, known, stack, last_ts, lineno)
     if stack:
@@ -343,36 +339,59 @@ def read_trace(text: str) -> Trace:
 def _read_columns(
     chunk: str, trace: Trace, known: set[int], by_kind: dict[bytes, dict[bytes, int]],
     stack: list[int], last_ts: int,
-) -> int:
-    """Append a chunk of canonical ``[EX] <digits> <digits>\\n`` lines as columns
-    and return its line count; return 0, leaving trace and stack as they were,
-    if any check fails.  ``by_kind`` maps each defined handle, as written in
-    ASCII, to its code once a chunk has met it."""
+) -> tuple[int, int]:
+    """Append a chunk of canonical ``[EX] <digits> <digits>\\n`` lines and of
+    ``_DEFINITION`` lines as columns; return the last E/X timestamp and the
+    chunk's line count.  If any check fails, return ``last_ts`` and 0, leaving
+    trace, stack, ``known`` and ``by_kind`` as they were.  ``by_kind`` maps
+    each defined handle, as written in ASCII, to its code once a chunk has
+    met it."""
     if not chunk.isascii():  # O(1) on a str; an ASCII chunk encodes one byte a character
-        return 0
+        return last_ts, 0
+    lines = n = chunk.count("\n")
+    defined: dict[int, tuple[int, TraceEvent]] = {}  # handle -> E/X lines before it, its record
+    kinds = by_kind
+    if "D" in chunk:
+        chunk = _take_definitions(chunk, known, defined)
+        if chunk is None:
+            return last_ts, 0
+        # A handle defined twice, or a string that held a "\n", leaves fewer
+        # lines than this count, and the form check below fails.
+        n -= len(defined)
+        # The chunk's own handles go into copies, kept only if the chunk is read.
+        kinds = {
+            b"E": by_kind[b"E"] | {b"%d" % h: h for h in defined},
+            b"X": by_kind[b"X"] | {b"%d" % h: -h for h in defined},
+        }
     data = chunk.encode("ascii")
-    n = data.count(b"\n")
     # Deleting E, X and the digits must leave two spaces and a line break per line.
     if data.translate(None, b"EX0123456789") != b"  \n" * n:
-        return 0
+        return last_ts, 0
     fields = data.split()  # n lines of three fields, none empty if there are 3n
     if len(fields) != 3 * n:
-        return 0
+        return last_ts, 0
     try:
         stamps = list(map(int, fields[1::3]))
         try:
-            codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
+            codes = list(map(getitem, map(kinds.__getitem__, fields[0::3]), fields[2::3]))
         except KeyError:  # map the handles first met here, then try once more
             # Those of the defined handles or the chunk's fields, whichever are fewer.
             for text in (b"%d" % h for h in known) if len(known) <= n else set(fields[2::3]):
                 if text.isdigit() and (code := int(text)) in known and b"%d" % code == text:
-                    by_kind[b"E"][text], by_kind[b"X"][text] = code, -code
-            codes = list(map(getitem, map(by_kind.__getitem__, fields[0::3]), fields[2::3]))
+                    kinds[b"E"][text], kinds[b"X"][text] = code, -code
+            codes = list(map(getitem, map(kinds.__getitem__, fields[0::3]), fields[2::3]))
     except (KeyError, ValueError):  # a kind or handle not as written, or undefined
-        return 0
+        return last_ts, 0
     # sorted() scans an already-sorted list once.
-    if stamps[0] < last_ts or stamps != sorted(stamps):
-        return 0
+    if stamps and (stamps[0] < last_ts or stamps != sorted(stamps)):
+        return last_ts, 0
+    if defined:
+        # No E record of a handle before its D record; an X record would
+        # need an E record before it, which the nesting check asks for.
+        stop = next(reversed(defined.values()))[0]
+        first = dict(zip(reversed(codes[:stop]), range(stop - 1, -1, -1)))  # code -> first index
+        if any(first.get(h, at) < at for h, (at, _) in defined.items()):
+            return last_ts, 0
     saved = stack[:]
     push, pop = stack.append, stack.pop
     try:
@@ -383,10 +402,57 @@ def _read_columns(
                 raise IndexError
     except IndexError:
         stack[:] = saved
-        return 0
+        return last_ts, 0
+    if stamps:
+        last_ts = stamps[-1]
+    if defined:
+        known.update(defined)
+        by_kind.update(kinds)
+        done = 0
+        for at, record in defined.values():  # each D record back at its place
+            trace.codes += codes[done:at]
+            trace.stamps += stamps[done:at]
+            trace._define(record)
+            done = at
+        codes, stamps = codes[done:], stamps[done:]
     trace.codes += codes
     trace.stamps += stamps
-    return n
+    return last_ts, lines
+
+
+def _take_definitions(
+    chunk: str, known: set[int], defined: dict[int, tuple[int, TraceEvent]]
+) -> str | None:
+    """The chunk without its ``_DEFINITION`` lines, each read into ``defined``
+    with the number of other lines before it; None if a D outside them does
+    not start such a line, if one of them would not read as one line, or if
+    one defines a sentinel or known handle."""
+    if any(map(chunk.__contains__, _OTHER_BREAKS)):
+        return None
+    rest: list[str] = []
+    done = others = 0
+    at = chunk.find("D")
+    try:
+        while at >= 0:
+            mo = _DEFINITION.match(chunk, at)
+            if mo is None or at and chunk[at - 1] != "\n":
+                return None
+            h, name, canonical, file, begin, end = mo.groups()
+            handle = int(h)
+            if handle < FIRST_VALID_HANDLE or handle in known:
+                return None
+            others += chunk.count("\n", done, at)
+            rest.append(chunk[done:at])
+            done = mo.end()
+            if "\\" in mo[0]:
+                name, canonical, file = map(_unescape, (name, canonical, file))
+            region = RegionDescriptor(handle, name, canonical, file, int(begin), int(end))
+            defined[handle] = others, _new_event(TraceEvent, ("D", 0, handle, region))
+            at = chunk.find("D", done)
+    except ValueError:  # int() refuses a number of too many digits
+        return None
+    rest.append(chunk[done:])
+    return "".join(rest)
 
 
 def _read_lines(

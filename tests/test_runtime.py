@@ -483,14 +483,6 @@ class TestTraceSequence:
         with pytest.raises(TraceError, match="record kind"):
             Trace.of([TraceEvent("Q", 0, 2)])
 
-    def test_enter_counts(self):
-        text = (
-            'D 2 "f" "f" "a.c" 1:1\nD 3 "g" "g" "a.c" 2:2\n'
-            "E 0 2\nE 1 3\nX 2 3\nE 3 3\nX 4 3\nX 5 2\n"
-        )
-        assert read_trace(text).enter_counts() == {2: 1, 3: 2}
-        assert Trace().enter_counts() == {}
-
 
 # ---------------------------------------------------------------------------
 # read_trace decodes chunks of canonical E/X lines as columns and hands every
@@ -604,8 +596,9 @@ def test_handle_spellings_read_like_the_canonical_one(monkeypatch, spelling):
 
 @pytest.mark.parametrize("window", [0, 1, 30, 200, 1 << 12])
 def test_definition_lines_between_runs_read_like_the_reference(monkeypatch, window):
-    # D lines cut the text into runs for the line loop and runs for columns;
-    # a chunk from a D line reaches the last D within a window of this size.
+    # Chunks are cut by size alone, here `window`: D lines in the writer's
+    # form are read with the columns around them, and any other line sends
+    # its whole chunk to the line loop.
     d4, d5 = 'D 4 "h" "h" "c.c" 3:3\n', 'D 5 "k" "k" "d.c" 4:4\n'
     texts = [write_trace(gens.trace_events(random.Random(seed))) for seed in range(60)]
     texts += [d4 + d5, d4 + _pairs(1, 20, 4) + d5, _PREFIX + _pairs(1, 20) + d4 + "X 9 2\n" + d5]
