@@ -50,31 +50,52 @@ def build_profile(trace: Iterable[TraceEvent]) -> Profile:
     frame = [0, 0, 0]
     stack: list[list[int]] = []
     push, pop = stack.append, stack.pop
-    for code, ts in zip(trace.codes, trace.stamps):
-        if code > 0:
+    records = zip(trace.codes, trace.stamps)
+    for code, ts in records:
+        # An enter reads the record after it.  If that is its own exit, the
+        # leaf visit is counted at once, with no frame; otherwise the enter
+        # opens a frame and the record read is handled next, by this loop
+        # if it is an enter and below if not.
+        while code > 0:
             if code not in entries:
                 raise TraceError(f"enter for undefined handle {code}")
+            enter_ts = ts
+            for after, ts in records:
+                break
+            else:  # the trace ends on this enter
+                push(frame)
+                break
+            if after == -code:
+                duration = ts - enter_ts
+                row = rows[code]
+                row[0] += 1
+                row[1] += duration
+                row[2] += duration
+                frame[2] += duration
+                break
             push(frame)
-            frame = [code, ts, 0]
-        elif code:
-            handle, enter_ts, child = frame
-            if handle != -code:
-                raise TraceError(f"unbalanced exit for handle {-code}")
-            duration = ts - enter_ts
-            # Looked up at exit, so a visit open across a redefinition of
-            # its handle counts for the new entry.
-            row = rows[handle]
-            row[0] += 1
-            row[1] += duration
-            row[2] += duration - child
-            frame = pop()
-            frame[2] += duration
-        else:
-            ev = definitions[ts]
-            d = ev.descriptor
-            assert d is not None
-            entries[ev.handle] = ProfileEntry(d.name, d.canonical_name)
-            rows[ev.handle] = [0, 0, 0]
+            frame = [code, enter_ts, 0]
+            code = after
+        else:  # an exit or a definition
+            if code:
+                handle, enter_ts, child = frame
+                if handle != -code:
+                    raise TraceError(f"unbalanced exit for handle {-code}")
+                duration = ts - enter_ts
+                # Looked up at exit, so a visit open across a redefinition of
+                # its handle counts for the new entry.
+                row = rows[handle]
+                row[0] += 1
+                row[1] += duration
+                row[2] += duration - child
+                frame = pop()
+                frame[2] += duration
+            else:
+                ev = definitions[ts]
+                d = ev.descriptor
+                assert d is not None
+                entries[ev.handle] = ProfileEntry(d.name, d.canonical_name)
+                rows[ev.handle] = [0, 0, 0]
     if stack:
         raise TraceError("trace ends inside an open region")
     for handle, (visits, inclusive, exclusive) in rows.items():
@@ -185,13 +206,32 @@ def suggest_filter(
     """Emit exclude rules for hot, cheap regions as a filter file.
 
     A region qualifies when visits >= min_visits and inclusive ticks
-    per visit <= max_ticks_per_visit.  The output always parses, even
-    when no region qualifies.
+    per visit <= max_ticks_per_visit.  Its rule names the pretty name
+    when that pattern matches the region alone; otherwise (a wildcard, a
+    name the filter parser would read back otherwise, or a name another
+    region shares) it names the canonical name, ``EXCLUDE MANGLED``.
+    The output always parses, even when no region qualifies.
     """
+    shared = Counter(e.name for e in p.entries.values())
     lines = ["REGION_NAMES_BEGIN"]
     for handle in sorted(p.entries):
         e = p.entries[handle]
         if e.visits >= min_visits and e.inclusive_ticks <= max_ticks_per_visit * e.visits:
-            lines.append(f"  EXCLUDE {e.name}")
+            if shared[e.name] == 1 and _reads_back_alone(e.name):
+                lines.append(f"  EXCLUDE {e.name}")
+            else:
+                lines.append(f"  EXCLUDE MANGLED {e.canonical}")
     lines.append("REGION_NAMES_END")
     return "\n".join(lines) + "\n"
+
+
+def _reads_back_alone(name: str) -> bool:
+    """Whether ``EXCLUDE <name>`` parses to a rule that matches ``name``
+    and no other name."""
+    return (
+        name == name.strip()
+        and len(name.splitlines()) == 1  # one line, and not empty
+        and "*" not in name
+        and "?" not in name
+        and name.partition(" ")[0] != "MANGLED"
+    )

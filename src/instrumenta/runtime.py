@@ -302,9 +302,9 @@ def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
 _CHUNK_CHARS = 1 << 16
 
 # A D record in the form write_trace gives it, through its line break.
-_DEFINITION = re.compile(rf'D (\d+) {_STRING}" {_STRING}" {_STRING}" (\d+):(\d+)\n')
-# The ASCII characters besides "\n" at which str.splitlines ends a line.
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+_DEFINITION = re.compile(rf'D ([0-9]+) {_STRING}" {_STRING}" {_STRING}" ([0-9]+):([0-9]+)\n')
+# The characters besides "\n" at which str.splitlines ends a line.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_trace(text: str) -> Trace:
@@ -346,8 +346,6 @@ def _read_columns(
     trace, stack, ``known`` and ``by_kind`` as they were.  ``by_kind`` maps
     each defined handle, as written in ASCII, to its code once a chunk has
     met it."""
-    if not chunk.isascii():  # O(1) on a str; an ASCII chunk encodes one byte a character
-        return last_ts, 0
     lines = n = chunk.count("\n")
     defined: dict[int, tuple[int, TraceEvent]] = {}  # handle -> E/X lines before it, its record
     kinds = by_kind
@@ -363,6 +361,8 @@ def _read_columns(
             b"E": by_kind[b"E"] | {b"%d" % h: h for h in defined},
             b"X": by_kind[b"X"] | {b"%d" % h: -h for h in defined},
         }
+    if not chunk.isascii():  # O(1) on a str; an ASCII chunk encodes one byte a character
+        return last_ts, 0
     data = chunk.encode("ascii")
     # Deleting E, X and the digits must leave two spaces and a line break per line.
     if data.translate(None, b"EX0123456789") != b"  \n" * n:
@@ -394,12 +394,24 @@ def _read_columns(
             return last_ts, 0
     saved = stack[:]
     push, pop = stack.append, stack.pop
+    records = iter(codes)
     try:
-        for code in codes:
-            if code > 0:
+        for code in records:
+            # An enter and its own exit right after it leave the stack as it
+            # was; an enter that ends the chunk stays open for the next one.
+            while code > 0:
+                for after in records:
+                    break
+                else:
+                    push(code)
+                    break
+                if after == -code:
+                    break
                 push(code)
-            elif pop() != -code:
-                raise IndexError
+                code = after
+            else:  # an exit
+                if pop() != -code:
+                    raise IndexError
     except IndexError:
         stack[:] = saved
         return last_ts, 0

@@ -243,3 +243,25 @@ class TestSuggestFilter:
         p = self._profile((2, "get(int)", 5000, 5000))
         rules = parse_filter(suggest_filter(p, 10, 1000))
         assert rules.region_rules[0].pattern == "get(int)"
+
+    @pytest.mark.parametrize("name", [
+        "f(char*)", "get(T?)", " lead()", "trail() ", "tab()\t", "MANGLED", "MANGLED g()",
+        "", "a\nb", "a b",
+    ])
+    def test_names_that_would_not_match_alone_are_excluded_by_mangled_name(self, name):
+        p = Profile()
+        p.entries[2] = ProfileEntry(name, "_Z4hotv", 5000, 5000, 5000)
+        text = suggest_filter(p, 10, 1000)
+        assert text == "REGION_NAMES_BEGIN\n  EXCLUDE MANGLED _Z4hotv\nREGION_NAMES_END\n"
+        assert parse_filter(text).region_rules[0].match_mangled
+
+    def test_shared_pretty_name_is_excluded_by_mangled_name(self):
+        p = Profile()
+        p.entries[2] = ProfileEntry("tick()", "_ZN1a4tickEv", 5000, 5000, 5000)
+        p.entries[3] = ProfileEntry("tick()", "_ZN1b4tickEv", 10, 10**4, 10**4)  # not hot
+        p.entries[4] = ProfileEntry("MANGLEDx()", "_Z9MANGLEDxv", 5000, 5000, 5000)
+        p.entries[5] = ProfileEntry("op[](int)", "_Zixi", 5000, 5000, 5000)
+        assert suggest_filter(p, 10, 1000) == (
+            "REGION_NAMES_BEGIN\n  EXCLUDE MANGLED _ZN1a4tickEv\n  EXCLUDE MANGLEDx()\n"
+            "  EXCLUDE op[](int)\nREGION_NAMES_END\n"
+        )

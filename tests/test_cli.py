@@ -8,6 +8,43 @@ from instrumenta.runtime import read_trace
 
 LISTING1 = CORPUS_DIR / "listing1.ir"
 
+# Two overloads whose pretty names differ after a "*": main calls
+# f(char*) 1,000 times (22 ticks a visit) and f(char*, int) once (223).
+OVERLOADS = """module "overloads"
+
+func @main file="two.c" lines=1:20
+{
+^init:
+  li r1, 0
+  jmp ^loop
+^loop:
+  call @_Z1fPc
+  addi r1, r1, 1
+  addi r3, r1, -1000
+  jnz r3, ^loop, ^slow
+^slow:
+  call @_Z1fPci
+  li r0, 0
+  ret r0
+}
+
+func @_Z1fPc pretty="f(char*)" file="two.c" lines=22:25
+{
+^e:
+  work 1
+  ret
+}
+
+func @_Z1fPci pretty="f(char*, int)" file="two.c" lines=27:31
+{
+^e:
+  jmp ^body
+^body:
+  work 200
+  ret
+}
+"""
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -243,6 +280,34 @@ class TestCompareSuggest:
             "suggest-filter", trc, "--max-ticks-per-visit", "1", "--min-visits", "1000"
         ) == 0
         assert capsys.readouterr().out == "REGION_NAMES_BEGIN\nREGION_NAMES_END\n"
+
+    def test_suggest_then_refilter_excludes_only_the_suggested_overload(self, tmp_path, capsys):
+        # f(char*) is hot and cheap; as a glob its pretty name also matches
+        # f(char*, int), which is dear, so the rule names the mangled name.
+        src = tmp_path / "two.ir"
+        src.write_text(OVERLOADS, encoding="utf-8")
+        out, trc, flt = tmp_path / "two.instr.ir", tmp_path / "two.trc", tmp_path / "s.flt"
+        assert run_cli("instrument", src, "-o", out, "--mode", "plugin", "-O0") == 0
+        assert run_cli("run", out, "--trace", trc) == 0
+        assert run_cli(
+            "suggest-filter", trc, "--max-ticks-per-visit", "30", "--min-visits", "1000",
+            "-o", flt,
+        ) == 0
+        assert flt.read_text(encoding="utf-8") == (
+            "REGION_NAMES_BEGIN\n  EXCLUDE MANGLED _Z1fPc\nREGION_NAMES_END\n"
+        )
+        refiltered = tmp_path / "two.refiltered.ir"
+        capsys.readouterr()
+        assert run_cli(
+            "instrument", src, "-o", refiltered, "--mode", "plugin", "-O0", "--filter", flt
+        ) == 0
+        assert "instrumented 2 function(s), skipped 1" in capsys.readouterr().err
+        module = parse_module(refiltered.read_text(encoding="utf-8"))
+        hooked = {
+            f.mangled_name for f in module.functions
+            if any(i.is_hook for b in f.blocks for i in b.instructions)
+        }
+        assert hooked == {"main", "_Z1fPci"}
 
     def test_suggest_filter_rejects_nonpositive(self, tmp_path):
         trc = tmp_path / "x.trc"
