@@ -26,7 +26,7 @@ from .ir import (
     is_empty_body,
     validate,
 )
-from .optimizer import OptLevel, inline_in_place, inline_pass
+from .optimizer import InlineReport, OptLevel, inline_in_place, inline_pass
 
 InstrumentationMode = Literal["auto", "plugin"]
 
@@ -225,8 +225,9 @@ def instrument_module(
     rules: FilterRuleSet,
     mode: InstrumentationMode,
     level: OptLevel,
-) -> tuple[IrModule, InstrumentationReport, list[RegionDescriptor]]:
-    """Run the whole pipeline for one module.
+) -> tuple[IrModule, InstrumentationReport, InlineReport]:
+    """Run the whole pipeline for one module; return the built module and
+    the reports of its instrumentation and its inlining.
 
     Plugin mode inlines first and then instruments what survived under
     the rule set; auto mode instruments everything first and inlines
@@ -237,7 +238,7 @@ def instrument_module(
     table = InstructionTable()
     if mode == "plugin":
         # inline_pass validates its copy of m.
-        work, _ = inline_pass(m, level, table)
+        work, inlined = inline_pass(m, level, table)
     else:
         violations = validate(m)
         if violations:
@@ -267,6 +268,5 @@ def instrument_module(
         report.instrumented.append((f.mangled_name, desc.region_id))
 
     if mode == "auto":
-        inline_in_place(work, level, table)
-    descriptors = [work.regions[rid] for rid in sorted(work.regions)]
-    return work, report, descriptors
+        inlined = inline_in_place(work, level, table)
+    return work, report, inlined

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import compress, count, repeat
 from typing import NamedTuple, NoReturn
@@ -263,6 +263,67 @@ def is_empty_body(f: IrFunction) -> bool:
         and len(f.blocks[0].instructions) == 1
         and f.blocks[0].instructions[0] == Instruction("ret")
     )
+
+
+# ---------------------------------------------------------------------------
+# The call graph
+
+
+def call_graph(m: IrModule) -> dict[str, dict[str, None]]:
+    """Each function's callees, each once, in the order of its first call.
+    They are dict keys rather than a set, so an order derived from the
+    graph does not depend on string hashing; ``|=`` adds edges."""
+    return {
+        f.mangled_name: dict.fromkeys(
+            [ins.args[0] for b in f.blocks for ins in b.instructions if ins.op in _CALL_OPS]
+        )
+        for f in m.functions
+    }
+
+
+def components(graph: dict[str, Iterable[str]]) -> list[list[str]]:
+    """The strongly connected components of ``graph``, callees first: a
+    component comes after every one it calls into.  Tarjan's algorithm
+    with an explicit stack, from the keys in order and along each one's
+    callees in order; a name that is not a key has no calls."""
+    index: dict[str, int] = {}  # order of discovery
+    low: dict[str, int] = {}  # lowest index reachable within the open path
+    path: list[str] = []  # discovered names whose component is not yet closed
+    on_path: set[str] = set()
+    work: list[tuple[str, Iterator[str]]] = []  # (name, callees left to visit)
+    out: list[list[str]] = []
+
+    def discover(name: str) -> None:
+        index[name] = low[name] = len(index)
+        path.append(name)
+        on_path.add(name)
+        work.append((name, iter(graph[name])))
+
+    for root in graph:
+        if root not in index:
+            discover(root)
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee in on_path:
+                    if index[callee] < low[node]:
+                        low[node] = index[callee]
+                elif callee in graph and callee not in index:
+                    discover(callee)
+                    break
+            else:  # every callee visited
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    if low[node] < low[caller]:
+                        low[caller] = low[node]
+                if low[node] == index[node]:
+                    component = [path.pop()]
+                    while component[-1] != node:
+                        component.append(path.pop())
+                    on_path.difference_update(component)
+                    out.append(component)
+    return out
 
 
 # ---------------------------------------------------------------------------

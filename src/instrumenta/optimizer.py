@@ -11,7 +11,7 @@ present in a callee travels with its body into the caller.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -26,6 +26,8 @@ from .ir import (
     NUM_REGISTERS,
     _CALL_OPS,
     _register_operands,
+    call_graph,
+    components,
     validate,
 )
 
@@ -74,62 +76,6 @@ def inline_cost(f: IrFunction) -> int:
     return sum(len(b.instructions) for b in f.blocks)
 
 
-def _call_graph(m: IrModule) -> dict[str, set[str]]:
-    return {
-        f.mangled_name: {
-            ins.call_target()
-            for b in f.blocks
-            for ins in b.instructions
-            if ins.op in _CALL_OPS
-        }
-        for f in m.functions
-    }
-
-
-def _recursive_functions(graph: dict[str, set[str]]) -> set[str]:
-    """The functions that can reach themselves along call edges: those in a
-    strongly connected component of two or more, and those that call
-    themselves.  Tarjan's algorithm with an explicit stack; a name that is
-    not a key of the graph has no calls."""
-    index: dict[str, int] = {}  # order of discovery
-    low: dict[str, int] = {}  # lowest index reachable within the open path
-    path: list[str] = []  # discovered functions whose component is not yet closed
-    on_path: set[str] = set()
-    work: list[tuple[str, Iterator[str]]] = []  # (function, callees left to visit)
-    out: set[str] = set()
-
-    def discover(name: str) -> None:
-        index[name] = low[name] = len(index)
-        path.append(name)
-        on_path.add(name)
-        work.append((name, iter(graph[name])))
-
-    for root in graph:
-        if root not in index:
-            discover(root)
-        while work:
-            node, callees = work[-1]
-            for callee in callees:
-                if callee in on_path:
-                    low[node] = min(low[node], index[callee])
-                elif callee in graph and callee not in index:
-                    discover(callee)
-                    break
-            else:  # every callee visited
-                work.pop()
-                if work:
-                    caller = work[-1][0]
-                    low[caller] = min(low[caller], low[node])
-                if low[node] == index[node]:
-                    component = [path.pop()]
-                    while component[-1] != node:
-                        component.append(path.pop())
-                    on_path.difference_update(component)
-                    if len(component) > 1 or node in graph[node]:
-                        out.update(component)
-    return out
-
-
 def _register_counts(runs: Iterable[list[Instruction]]) -> Counter:
     """How often each register occurs as an operand in the runs."""
     return Counter(r for run in runs for ins in run for r in _register_operands(ins))
@@ -172,13 +118,21 @@ class _Inliner:
 
     # Built on first use, which auto mode's call.try sites may never make.
     @cached_property
-    def calls(self) -> dict[str, set[str]]:
+    def calls(self) -> dict[str, dict[str, None]]:
         """Who may call whom: edges are added, never removed."""
-        return _call_graph(self.module)
+        return call_graph(self.module)
 
     @cached_property
     def recursive(self) -> set[str]:
-        return _recursive_functions(self.calls)
+        """The functions that can reach themselves along calls: those in a
+        component of two or more, and those that call themselves."""
+        calls = self.calls
+        return {
+            name
+            for component in components(calls)
+            if len(component) > 1 or component[0] in calls[component[0]]
+            for name in component
+        }
 
     @cached_property
     def callers(self) -> dict[str, set[str]]:

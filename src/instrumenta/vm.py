@@ -15,7 +15,9 @@ import heapq
 from dataclasses import dataclass, field
 
 from .filters import FilterRuleSet
-from .ir import _CALL_OPS, HOOK_OPS, Instruction, IrFunction, IrModule, IrValidationError, validate
+from .ir import (
+    HOOK_OPS, Instruction, IrFunction, IrModule, IrValidationError, call_graph, components, validate,
+)
 from .runtime import FILTERED_REGION, Monitor, Trace, TraceError, UnbalancedExitError
 
 DEFAULT_STEP_LIMIT = 10**8
@@ -486,34 +488,6 @@ def _batch(loop: tuple, regs: list[int], room: int, t0: int, codes, stamps) -> t
     return n, out
 
 
-def _callees(f: IrFunction) -> list[str]:
-    return [ins.args[0] for b in f.blocks for ins in b.instructions if ins.op in _CALL_OPS]
-
-
-def _callees_first(defined: list[IrFunction]) -> list[IrFunction]:
-    """The defined functions in post-order of the call graph, so that a
-    function comes after its callees except along a recursive call."""
-    by_name = {f.mangled_name: f for f in defined}
-    order: list[IrFunction] = []
-    seen: set[str] = set()
-    for root in defined:
-        if root.mangled_name in seen:
-            continue
-        seen.add(root.mangled_name)
-        stack = [(root, iter(_callees(root)))]
-        while stack:
-            f, pending = stack[-1]
-            for name in pending:
-                if name in by_name and name not in seen:
-                    seen.add(name)
-                    stack.append((by_name[name], iter(_callees(by_name[name]))))
-                    break
-            else:
-                stack.pop()
-                order.append(f)
-    return order
-
-
 def _relower(
     todo: list[int],
     order: list[IrFunction],
@@ -543,16 +517,19 @@ def _relower(
                 heapq.heappush(todo, c)
 
 
-def _patch_index(order: list[IrFunction]) -> tuple[dict[int, list[int]], dict[str, list[int]]]:
+def _patch_index(
+    order: list[IrFunction], graph: dict[str, dict[str, None]]
+) -> tuple[dict[int, list[int]], dict[str, list[int]]]:
     """Region id -> the positions in ``order`` of the functions that
     hold its hooks (inlining can copy a region's hooks into callers, so
-    there may be several), and callee name -> its callers' positions."""
+    there may be several), and callee name -> its callers' positions,
+    read off the call graph."""
     holders: dict[int, list[int]] = {}
     callers: dict[str, list[int]] = {}
     for i, f in enumerate(order):
         for rid in {ins.args[0] for b in f.blocks for ins in b.instructions if ins.is_hook}:
             holders.setdefault(rid, []).append(i)
-        for name in _callees(f):
+        for name in graph[f.mangled_name]:
             callers.setdefault(name, []).append(i)
     return holders, callers
 
@@ -585,7 +562,11 @@ def execute(
     stamps = monitor.events.stamps
     open_regions = monitor.shadow_stack
 
-    order = _callees_first([f for f in m.functions if not f.is_extern])
+    # Callees first: only a call inside a recursive component can find
+    # its callee not yet lowered.
+    graph = call_graph(m)
+    defined = {f.mangled_name: f for f in m.functions if not f.is_extern}
+    order = [defined[name] for comp in components(graph) for name in comp if name in defined]
     code: dict[str, list[list[tuple]]] = {f.mangled_name: [] for f in order}
     for f in order:
         code[f.mangled_name][:] = _lower_function(f, m, code, costs, handle_of)
@@ -664,7 +645,7 @@ def execute(
                 # from here on.  Callers of a function that became a leaf
                 # fold their calls to it.
                 if holders is None:
-                    holders, callers = _patch_index(order)
+                    holders, callers = _patch_index(order, graph)
                 _relower(list(holders[rid]), order, callers, m, code, costs, handle_of)
             ip += 1
         elif op == _HENTER or op == _HEXIT:

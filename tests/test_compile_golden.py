@@ -69,7 +69,8 @@ def _variants_text(m: IrModule) -> str:
             f"{rep.inlined_sites!r}\n{rep.skipped!r}\n"
         )
         for label, mode, rules in _rule_sets(m):
-            out, irep, descs = instrument_module(m, rules, mode, level)
+            out, irep, _ = instrument_module(m, rules, mode, level)
+            descs = [out.regions[r] for r in sorted(out.regions)]
             parts.append(
                 f"{label} {level.level}\n{print_module(out)}"
                 f"{irep.instrumented!r}\n{irep.skipped!r}\n{descs!r}\n"

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from instrumenta.ir import (
     IrFunction,
     IrModule,
     RegionDescriptor,
+    components,
     parse_module,
     print_module,
     validate,
@@ -23,7 +25,7 @@ from instrumenta.optimizer import (
     O3,
     InlineSite,
     OptLevel,
-    _recursive_functions,
+    _Inliner,
     inline_cost,
     inline_pass,
 )
@@ -311,7 +313,7 @@ def reference_recursive_functions(graph):
 def _random_call_graph(rng):
     """Defined functions with acyclic calls, cycles of 1-5 functions laid
     over them, and calls to externs that are keys with no calls or not
-    keys at all, as ``_call_graph`` may give."""
+    keys at all, as ``ir.call_graph`` may give."""
     names = [f"f{i}" for i in range(rng.randint(0, 30))]
     externs = ["ext0", "ext1"]
     graph = {name: set() for name in names}
@@ -329,6 +331,11 @@ def _random_call_graph(rng):
     order = list(graph.items())
     rng.shuffle(order)
     return dict(order)
+
+
+def _recursive_functions(graph):
+    """``_Inliner.recursive`` with ``graph`` as the inliner's call graph."""
+    return _Inliner.recursive.func(SimpleNamespace(calls=graph))
 
 
 def test_recursive_functions_match_reference_on_random_graphs():
@@ -366,3 +373,17 @@ def test_recursive_functions_on_a_long_chain():
     assert _recursive_functions(graph) == set()
     graph[names[-1]] = {names[0]}
     assert _recursive_functions(graph) == set(names)
+
+
+def test_components_cover_every_key_once_callees_first():
+    rng = random.Random(7)
+    for _ in range(3000):
+        graph = _random_call_graph(rng)
+        found = components(graph)
+        names = [name for component in found for name in component]
+        assert sorted(names) == sorted(graph), graph
+        at = {name: i for i, component in enumerate(found) for name in component}
+        for caller, callees in graph.items():
+            for callee in callees:
+                if callee in graph and at[callee] != at[caller]:
+                    assert at[callee] < at[caller], (graph, caller, callee)
