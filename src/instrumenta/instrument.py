@@ -23,6 +23,7 @@ from .ir import (
     IrModule,
     IrValidationError,
     RegionDescriptor,
+    _CALL_OPS,
     is_empty_body,
     validate,
 )
@@ -121,7 +122,7 @@ def _insert_entry_hook(f: IrFunction, region_id: int, table: InstructionTable) -
     entry = f.entry_block()
     at = len(entry.instructions) - 1
     for i, ins in enumerate(entry.instructions):
-        if ins.op in ("call", "call.try"):
+        if ins.op in _CALL_OPS:
             at = i
             break
     entry.instructions[at:at] = [

@@ -249,54 +249,6 @@ def _split_trace_line(line: str, lineno: int) -> list[str]:
     return fields
 
 
-def _scan_record(line: str, lineno: int, known: set[int]) -> TraceEvent | None:
-    """Tokenise one line with the quote-aware scanner.
-
-    Returns None for a blank line.  A D record is checked and its handle
-    added to ``known``; an E/X record is only parsed, and read_trace
-    checks it against the trace state.
-    """
-    fields = _split_trace_line(line.strip(), lineno)
-    if not fields:
-        return None
-    kind = fields[0]
-    if kind == "D":
-        if len(fields) != 6:
-            raise TraceError(f"line {lineno}: malformed D record")
-        try:
-            handle = int(fields[1])
-            begin_s, _, end_s = fields[5].partition(":")
-            begin, end = int(begin_s), int(end_s)
-        except ValueError:
-            raise TraceError(f"line {lineno}: malformed D record") from None
-        if handle < FIRST_VALID_HANDLE:
-            raise TraceError(f"line {lineno}: handle {handle} is a sentinel")
-        if handle in known:
-            raise TraceError(f"line {lineno}: handle {handle} defined twice")
-        known.add(handle)
-        return TraceEvent(
-            "D",
-            0,
-            handle,
-            RegionDescriptor(
-                region_id=handle,
-                name=fields[2],
-                canonical_name=fields[3],
-                file=fields[4],
-                begin_lno=begin,
-                end_lno=end,
-            ),
-        )
-    if kind not in ("E", "X"):
-        raise TraceError(f"line {lineno}: unknown record kind '{kind}'")
-    if len(fields) != 3:
-        raise TraceError(f"line {lineno}: malformed {kind} record")
-    try:
-        return TraceEvent(kind, int(fields[1]), int(fields[2]))
-    except ValueError:
-        raise TraceError(f"line {lineno}: malformed {kind} record") from None
-
-
 # read_trace decodes the text in chunks of about this many characters, each
 # cut just after a line break, so its transient memory stays small.
 _CHUNK_CHARS = 1 << 16
@@ -330,7 +282,7 @@ def read_trace(text: str) -> Trace:
         if lines:
             lineno += lines
         else:
-            last_ts, lineno = _read_lines(chunk, trace, known, stack, last_ts, lineno)
+            last_ts, lineno = _read_lines(chunk, trace, known, by_kind, stack, last_ts, lineno)
     if stack:
         raise UnbalancedExitError(f"trace ends with {len(stack)} open region(s)")
     return trace
@@ -344,8 +296,7 @@ def _read_columns(
     ``_DEFINITION`` lines as columns; return the last E/X timestamp and the
     chunk's line count.  If any check fails, return ``last_ts`` and 0, leaving
     trace, stack, ``known`` and ``by_kind`` as they were.  ``by_kind`` maps
-    each defined handle, as written in ASCII, to its code once a chunk has
-    met it."""
+    each known handle, as written in ASCII, to its code."""
     lines = n = chunk.count("\n")
     defined: dict[int, tuple[int, TraceEvent]] = {}  # handle -> E/X lines before it, its record
     kinds = by_kind
@@ -372,14 +323,7 @@ def _read_columns(
         return last_ts, 0
     try:
         stamps = list(map(int, fields[1::3]))
-        try:
-            codes = list(map(getitem, map(kinds.__getitem__, fields[0::3]), fields[2::3]))
-        except KeyError:  # map the handles first met here, then try once more
-            # Those of the defined handles or the chunk's fields, whichever are fewer.
-            for text in (b"%d" % h for h in known) if len(known) <= n else set(fields[2::3]):
-                if text.isdigit() and (code := int(text)) in known and b"%d" % code == text:
-                    kinds[b"E"][text], kinds[b"X"][text] = code, -code
-            codes = list(map(getitem, map(kinds.__getitem__, fields[0::3]), fields[2::3]))
+        codes = list(map(getitem, map(kinds.__getitem__, fields[0::3]), fields[2::3]))
     except (KeyError, ValueError):  # a kind or handle not as written, or undefined
         return last_ts, 0
     # sorted() scans an already-sorted list once.
@@ -468,32 +412,52 @@ def _take_definitions(
 
 
 def _read_lines(
-    chunk: str, trace: Trace, known: set[int], stack: list[int], last_ts: int, done: int
+    chunk: str, trace: Trace, known: set[int], by_kind: dict[bytes, dict[bytes, int]],
+    stack: list[int], last_ts: int, done: int,
 ) -> tuple[int, int]:
     """Read a chunk line by line after the text's first ``done`` lines;
-    returns the new last timestamp and line count."""
+    returns the new last timestamp and line count.  Each definition's
+    handle also goes into ``by_kind``, for the column path."""
     codes, stamps = trace.codes, trace.stamps
     lines = chunk.splitlines()
     for lineno, line in enumerate(lines, start=done + 1):
-        # Fast path: an E/X record as written, three single-space-separated
-        # fields.  When int() accepts both numbers, the scanner would have
-        # produced the same fields (int() ignores only whitespace that
-        # strip() removes too).  Every other line, including one whose
-        # numbers int() rejects, is decided by the scanner.
-        try:
-            kind, ts_field, handle_field = line.split(" ")
-            ts = int(ts_field)
-            handle = int(handle_field)
-        except ValueError:
-            kind = ""
+        line = line.strip()
+        if not line:
+            continue
+        if '"' in line:
+            fields = _split_trace_line(line, lineno)
+        else:  # the same fields as the quote-aware scanner's
+            fields = line.split(" ")
+            if "" in fields:
+                fields = list(filter(None, fields))
+        kind = fields[0]
+        if kind == "D":
+            if len(fields) != 6:
+                raise TraceError(f"line {lineno}: malformed D record")
+            try:
+                handle = int(fields[1])
+                begin_s, _, end_s = fields[5].partition(":")
+                begin, end = int(begin_s), int(end_s)
+            except ValueError:
+                raise TraceError(f"line {lineno}: malformed D record") from None
+            if handle < FIRST_VALID_HANDLE:
+                raise TraceError(f"line {lineno}: handle {handle} is a sentinel")
+            if handle in known:
+                raise TraceError(f"line {lineno}: handle {handle} defined twice")
+            known.add(handle)
+            by_kind[b"E"][b"%d" % handle], by_kind[b"X"][b"%d" % handle] = handle, -handle
+            region = RegionDescriptor(handle, fields[2], fields[3], fields[4], begin, end)
+            trace._define(TraceEvent("D", 0, handle, region))
+            continue
         if kind != "E" and kind != "X":
-            record = _scan_record(line, lineno, known)
-            if record is None:
-                continue
-            if record.kind == "D":
-                trace._define(record)
-                continue
-            kind, ts, handle, _ = record
+            raise TraceError(f"line {lineno}: unknown record kind '{kind}'")
+        if len(fields) != 3:
+            raise TraceError(f"line {lineno}: malformed {kind} record")
+        try:
+            ts = int(fields[1])
+            handle = int(fields[2])
+        except ValueError:
+            raise TraceError(f"line {lineno}: malformed {kind} record") from None
         if handle not in known:
             raise TraceError(f"line {lineno}: unknown handle {handle}")
         if ts < last_ts:
