@@ -238,7 +238,7 @@ def instrument_module(
     """
     table = InstructionTable()
     if mode == "plugin":
-        # inline_pass validates its copy of m.
+        # inline_pass validates m.
         work, inlined = inline_pass(m, level, table)
     else:
         violations = validate(m)

@@ -443,7 +443,7 @@ def _judge(ins: Instruction) -> tuple:
     op, args = ins.op, ins.args
     shape = (op, *map(type, args))
     # A call with too many arguments still fits its signature.
-    syntax = _SHAPES.get(shape) or _syntax(op, len(args))
+    syntax = _SYNTAX.get((op, len(args))) or _syntax(op, len(args))
     if syntax is None or syntax.shape != shape:
         if op not in ALL_OPS:
             verdict = ((("unknown-op", f"'{op}'"),), False)
@@ -696,15 +696,13 @@ def _syntax(op: str, n: int) -> _Syntax | None:
     return _Syntax(kinds, parsers, f"{op} {operands}".rstrip(), shape)
 
 
-# Every (op, arity) the parser accepts, and the same keyed by operand
-# types for validate.
+# Every (op, arity) that the parser and validate accept.
 _SYNTAX = {
     (op, n): syntax
     for op, sig in SIGNATURES.items()
     for n in range(len(sig) + MAX_CALL_ARGS)
     if (syntax := _syntax(op, n)) is not None
 }
-_SHAPES = {syntax.shape: syntax for syntax in _SYNTAX.values()}
 
 
 def parse_instruction(line: str, lineno: int) -> Instruction:

@@ -134,14 +134,6 @@ class _Inliner:
             for name in component
         }
 
-    @cached_property
-    def callers(self) -> dict[str, set[str]]:
-        callers: dict[str, set[str]] = {name: set() for name in self.calls}
-        for name, targets in self.calls.items():
-            for target in targets:
-                callers[target].add(name)
-        return callers
-
     def ineligible_reason(self, callee_name: str) -> str | None:
         callee = self.functions[callee_name]
         if callee.is_extern:
@@ -276,10 +268,7 @@ class _Inliner:
                 init.append(self.table["li", (rmap[creg], 0)])
 
         # The caller now makes the callee's calls too.
-        targets = self.calls[callee.mangled_name]
-        self.calls[caller.mangled_name] |= targets
-        for target in targets:
-            self.callers[target].add(caller.mangled_name)
+        self.calls[caller.mangled_name] |= self.calls[callee.mangled_name]
 
         block = caller.blocks[bi]
         # Validated blocks are never empty.
@@ -309,14 +298,15 @@ class _Inliner:
         self, caller: IrFunction, call: Instruction, inserted: list[list[Instruction]]
     ) -> None:
         """Count the instructions that replaced ``call`` in ``caller``; if it
-        now uses fewer registers, its callers may now expand it."""
+        now uses fewer registers, its callers may now expand it: those
+        whose calls, copied ones included, reach it."""
         counts = self.registers[caller.mangled_name]
         before = len(counts)
         counts += _register_counts(inserted)
         # In-place subtraction drops the registers no longer used.
         counts -= Counter(_register_operands(call))
         if len(counts) < before:
-            self.dirty |= self.callers[caller.mangled_name]
+            self.dirty.update(f for f, to in self.calls.items() if caller.mangled_name in to)
 
 
 def inline_pass(
@@ -330,6 +320,9 @@ def inline_pass(
     instructions it builds come from ``table``, the table of the pass
     this call is part of, or else from a table of its own.
     """
+    violations = validate(m)
+    if violations:
+        raise IrValidationError(violations)
     if table is None:
         table = InstructionTable()
     result = m.clone()
@@ -339,10 +332,7 @@ def inline_pass(
 def inline_in_place(
     m: IrModule, level: OptLevel, table: InstructionTable
 ) -> InlineReport:
-    """``inline_pass`` on ``m`` itself: validate it, then inline in place."""
-    violations = validate(m)
-    if violations:
-        raise IrValidationError(violations)
+    """``inline_pass`` on ``m`` itself, which its caller has validated."""
     if level.inline_threshold <= 0:
         return InlineReport()
     worker = _Inliner(m, level.inline_threshold, table)

@@ -238,11 +238,11 @@ def _summary(op: tuple, i: int) -> tuple | None:
             if s != src:  # read before the op writes it, not as an induction
                 return None
             step[r] = d
-    # (_LOOP, 0, 0, (), None, loop block, exit block, counter, the
-    #  _solver of its step, the moving registers' (register, step),
-    #  steps and ticks of one iteration, its events as (code, tick offset)).
+    # (_LOOP, 0, 0, (), None, loop block, exit block, counter, its step,
+    #  the moving registers' (register, step), steps and ticks of one
+    #  iteration, its events as (code, tick offset)).
     return (
-        _LOOP, 0, 0, (), None, i, op[7], op[5], _solver(step.get(op[5], 0)),
+        _LOOP, 0, 0, (), None, i, op[7], op[5], step.get(op[5], 0),
         tuple((r, d) for r, d in step.items() if d & _I64_MASK),
         op[1], op[2], tuple((code, dt) for code, dt, _ in op[4] or ()),
     )
@@ -257,13 +257,13 @@ def _collapsed(op: tuple, loop: tuple, ahead: list[tuple]) -> tuple | None:
     of the ops ``ahead`` of ``op`` in its block count too when they are
     hooks that go on to the next op, such as an entry block's register
     and enter after its ``li``: ``op`` then always runs after them."""
-    _, _, _, _, _, _, out, counter, solver, moving, steps, ticks, events = loop
+    _, _, _, _, _, _, out, counter, beta, moving, steps, ticks, events = loop
     if any(o[0] not in _STAYS for o in ahead):
         ahead = []
     value = _symbolic([u for o in ahead for u in o[3]] + list(op[3])).get(counter, (counter, 0))
     if value is None or value[0] is not None:
         return None
-    n = _trip_count(value[1], solver) if value[1] else 0
+    n = _trip_count(value[1], beta) if value[1] else 0
     if n is None or n * len(events) > _ABSORBED:
         return None
     updates = [u for u in op[3] if u[0] != _EVENTS]
@@ -439,26 +439,17 @@ def _record(events: tuple, t0: int, room: int, codes, stamps, open_regions) -> N
         stamps.append(t0 + dt)
 
 
-def _solver(beta: int) -> tuple[int, int, int] | None:
-    """What solving alpha + beta * k = 0 (mod 2**64) for k needs of beta:
-    g = gcd(beta, 2**64), m = 2**64 // g and the inverse of beta // g
-    modulo m; None when beta = 0 (mod 2**64)."""
+def _trip_count(alpha: int, beta: int) -> int | None:
+    """The least k >= 1 with alpha + beta * k = 0 (mod 2**64), or None:
+    -alpha // g times the inverse of beta // g modulo m = 2**64 // g, for
+    g = gcd(beta, 2**64).  ``alpha`` is a nonzero i64, so k = 0 is never
+    a solution."""
     beta &= _I64_MASK
     g = beta & -beta
-    if not g:
+    if not g or alpha % g:
         return None
     m = (1 << 64) // g
-    return g, m, pow(beta // g, -1, m)
-
-
-def _trip_count(alpha: int, solver: tuple[int, int, int] | None) -> int | None:
-    """The least k >= 1 with alpha + beta * k = 0 (mod 2**64), for the
-    beta of ``solver``, or None.  ``alpha`` is a nonzero i64, so k = 0 is
-    never a solution."""
-    if solver is None or alpha % solver[0]:
-        return None
-    g, m, inverse = solver
-    return -alpha // g * inverse % m
+    return -alpha // g * pow(beta // g, -1, m) % m
 
 
 def _batch(loop: tuple, regs: list[int], room: int, t0: int, codes, stamps) -> tuple[int, int]:
@@ -469,9 +460,9 @@ def _batch(loop: tuple, regs: list[int], room: int, t0: int, codes, stamps) -> t
     progressions; return their number and the block to go on at: the
     loop's exit, or the loop itself when the steps run out first, where
     the next iteration stops at the step limit as it would unbatched."""
-    _, _, _, _, _, at, out, counter, solver, moving, steps, ticks, events = loop
+    _, _, _, _, _, at, out, counter, beta, moving, steps, ticks, events = loop
     cap = room // steps
-    n = _trip_count(regs[counter], solver)
+    n = _trip_count(regs[counter], beta)
     if n is None or n > cap:
         n, out = cap, at
     for r, d in moving:

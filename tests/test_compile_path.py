@@ -2,7 +2,8 @@
 
 * Every public entry point rejects an invalid module with exactly
   ``validate``'s violations, though plugin-mode ``instrument_module``
-  leaves that check to ``inline_pass``.
+  leaves that check to ``inline_pass``.  ``inline_pass`` and either mode
+  of ``instrument_module`` validate their input once per call.
 * The inliner's register counts, kept up to date site by site, equal a
   fresh walk of caller and callee at every site; ``reference_*`` below
   is the per-site walk they replaced.
@@ -18,6 +19,7 @@ from collections import Counter
 import pytest
 
 import gens
+from instrumenta import instrument, optimizer
 from instrumenta.filters import FilterRuleSet
 from instrumenta.instrument import InstrumentError, instrument_module
 from instrumenta.ir import (
@@ -117,6 +119,31 @@ def test_entry_point_rejects_invalid_module(make, entry):
     with pytest.raises(IrValidationError) as exc:
         ENTRY_POINTS[entry](m)
     assert exc.value.violations == expected
+
+
+@pytest.mark.parametrize("level", [O0, O3], ids=lambda lv: lv.level)
+@pytest.mark.parametrize("entry", ["inline_pass", "plugin", "auto"])
+@pytest.mark.parametrize("make", [lambda: parse_module(TEXT), _unknown_attr], ids=["valid", "invalid"])
+def test_each_call_validates_its_input_once(monkeypatch, make, entry, level):
+    validated = []
+
+    def counting(m):
+        validated.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(instrument, "validate", counting)
+    monkeypatch.setattr(optimizer, "validate", counting)
+    m = make()
+    try:
+        if entry == "inline_pass":
+            inline_pass(m, level)
+        else:
+            instrument_module(m, RULES, entry, level)
+    except IrValidationError:
+        assert validate(m)
+    else:
+        assert not validate(m)
+    assert len(validated) == 1 and validated[0] is m
 
 
 @pytest.mark.parametrize("mode", ["plugin", "auto", "unknown"])

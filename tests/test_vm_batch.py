@@ -156,9 +156,9 @@ def test_loop_op_goes_to_a_summary_block(monkeypatch):
     ((_, _, blocks),) = made
     loop = blocks[1][0]
     assert loop[0] == vm._JNZ and blocks[loop[6]] == _summaries(blocks)
-    # Loop and exit block, counter, what solving for a step of 1 needs,
-    # the moving registers, and the steps and ticks of one iteration.
-    assert _summaries(blocks)[0][5:12] == (1, 2, 2, (1, 1 << 64, 1), ((4, 7), (1, 1), (2, 1)), 5, 6)
+    # Loop and exit block, counter, its step of 1, the moving registers,
+    # and the steps and ticks of one iteration.
+    assert _summaries(blocks)[0][5:12] == (1, 2, 2, 1, ((4, 7), (1, 1), (2, 1)), 5, 6)
 
 
 @pytest.mark.parametrize("step", [3, -3, (1 << 62) + 1, -(1 << 62) - 1])
@@ -409,7 +409,7 @@ def test_trip_count_is_the_least_solution(seed):
     alpha = _wrapped(-beta * k)
     if alpha == 0:
         return
-    n = vm._trip_count(alpha, vm._solver(beta))
+    n = vm._trip_count(alpha, beta)
     assert n is not None and n <= k and (alpha + beta * n) % (1 << 64) == 0
     assert all((alpha + beta * j) % (1 << 64) for j in range(1, min(n, 600)))
-    assert vm._trip_count(1, vm._solver(2)) is None and vm._solver(1 << 64) is None
+    assert vm._trip_count(1, 2) is None and vm._trip_count(1, 1 << 64) is None
