@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -195,7 +196,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command leaves almost no reference cycles behind, so the cyclic
+    # collector is paused for it; the caller's setting comes back after.
     parser = _build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -207,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
             VmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -706,6 +706,13 @@ _SYNTAX = {
 
 
 def parse_instruction(line: str, lineno: int) -> Instruction:
+    return _parse_instruction(line, lineno, {})
+
+
+def _parse_instruction(line: str, lineno: int, tokens: dict) -> Instruction:
+    """``parse_instruction``, with each operand's value looked up in
+    ``tokens`` by its parser and text first, and stored there once it
+    parses."""
     head, _, rest = line.partition(" ")
     operands = [t.strip() for t in rest.split(",")] if rest.strip() else []
     op = head.strip()
@@ -713,7 +720,11 @@ def parse_instruction(line: str, lineno: int) -> Instruction:
     if syntax is None:
         _reject_operand_count(op, operands, lineno)
     for i, parse in enumerate(syntax.parsers):
-        operands[i] = parse(operands[i], lineno)
+        key = (parse, operands[i])
+        value = tokens.get(key)
+        if value is None:
+            value = tokens[key] = parse(operands[i], lineno)
+        operands[i] = value
     ins = Instruction(op, tuple(operands))
     # What parses has no defect that validate could find in it alone.
     object.__setattr__(ins, "_verdict", _SOUND if op in _PLAIN_OPS else _CONTEXT)
@@ -844,11 +855,16 @@ def _parse_region_line(line: str) -> RegionDescriptor:
 
 class _ParsedLines(dict):
     """Instructions by line, each parsed on first use, so that equal lines
-    share one.  A line that does not parse raises with line 0: only its
-    reader knows where it stands."""
+    share one; beside them, the operand values by parser and token.  A
+    line that does not parse raises with line 0: only its reader knows
+    where it stands."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokens: dict = {}
 
     def __missing__(self, line: str) -> Instruction:
-        ins = self[line] = parse_instruction(line, 0)
+        ins = self[line] = _parse_instruction(line, 0, self.tokens)
         return ins
 
 

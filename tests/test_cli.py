@@ -1,10 +1,14 @@
+import gc
+
 import pytest
 
 from conftest import CORPUS_DIR
+from instrumenta import cli
 from instrumenta.cli import main
 from instrumenta.filters import parse_filter
 from instrumenta.ir import parse_module
 from instrumenta.runtime import read_trace
+from test_vm_patch import _workload
 
 LISTING1 = CORPUS_DIR / "listing1.ir"
 
@@ -392,3 +396,59 @@ class TestParserReuse:
         heavier = capsys.readouterr().out
         ticks = lambda s: int(s.split("ticks: ")[1].split()[0])
         assert ticks(heavier) == ticks(plain) + 14 * 20
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for one command and
+    leaves it as the caller had it, whatever way the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+    def caller_setting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_every_exit_restores_the_setting(self, tmp_path, caller_setting, capsys):
+        out = tmp_path / "out.ir"
+        instrument = ("instrument", LISTING1, "-o", out, "--mode", "auto", "-O0")
+        assert run_cli(*instrument) == 0
+        assert gc.isenabled() is caller_setting
+        assert run_cli("instrument", LISTING1, "-o", out) == 1  # usage
+        assert gc.isenabled() is caller_setting
+        assert run_cli("run", tmp_path / "missing.ir") == 2  # input
+        assert gc.isenabled() is caller_setting
+        capsys.readouterr()
+
+    def test_a_raising_command_restores_the_setting(self, monkeypatch, caller_setting):
+        during = []
+
+        def boom(args):
+            during.append(gc.isenabled())
+            raise RuntimeError("inside a command")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", boom)
+        with pytest.raises(RuntimeError, match="inside a command"):
+            main(["report", "any.trc"])
+        assert during == [False]
+        assert gc.isenabled() is caller_setting
+
+
+def test_commands_leave_little_for_the_collector(tmp_path, monkeypatch, capsys):
+    """What a paused collector defers: the cyclic garbage each command of
+    the ``compile_wide`` sequence leaves behind.  The collector stays off
+    between commands, so no automatic pass frees any of it first."""
+    wl = _workload("compile_wide", 7)
+    for name, text in wl.files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for step in wl.steps:
+            assert main(list(step.argv)) == 0, step.label
+            assert gc.collect() < 1_000, step.label
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
