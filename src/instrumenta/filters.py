@@ -44,6 +44,13 @@ class FilterRuleSet:
 
     region_rules: tuple[RegionRule, ...] = ()
     file_rules: tuple[FileRule, ...] = ()
+    # classify's three matchers (_matchers), stored on this object the
+    # first time they are built.  Not a field: equality, hash and repr
+    # ignore it, and copies and pickles leave it behind (__getstate__).
+    _matchers = None
+
+    def __getstate__(self) -> dict:
+        return {"region_rules": self.region_rules, "file_rules": self.file_rules}
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,15 @@ class MatchDecision:
 
 
 @functools.cache
-def _glob(pattern: str) -> Callable[[str], re.Match[str] | None]:
+def _translate(pattern: str) -> str:
     # "[" becomes the class "[[]", which matches only itself, so fnmatch's
     # bracket sets never apply and * and ? are the only wildcards.
-    return re.compile(fnmatch.translate(pattern.replace("[", "[[]"))).match
+    return fnmatch.translate(pattern.replace("[", "[[]"))
+
+
+@functools.cache
+def _glob(pattern: str) -> Callable[[str], re.Match[str] | None]:
+    return re.compile(_translate(pattern)).match
 
 
 def wildcard_match(pattern: str, name: str) -> bool:
@@ -148,29 +160,62 @@ def classify(
     test the demangled name unless marked MANGLED; file rules are
     skipped entirely for an empty file name (synthetic functions).
     """
-    region_hit: tuple[int, RegionRule] | None = None
-    for i, rule in enumerate(rules.region_rules):
-        name = mangled if rule.match_mangled else demangled
-        if wildcard_match(rule.pattern, name):
-            region_hit = (i, rule)
-    file_hit: tuple[int, FileRule] | None = None
-    if file:
-        for i, frule in enumerate(rules.file_rules):
-            if wildcard_match(frule.pattern, file):
-                file_hit = (i, frule)
+    on_mangled, on_demangled, on_file = rules._matchers or _matchers(rules)
+    ri = max(on_mangled(mangled), on_demangled(demangled))
+    fi = on_file(file) if file else -1
+    rule = rules.region_rules[ri] if ri >= 0 else None
+    frule = rules.file_rules[fi] if fi >= 0 else None
 
-    if region_hit is not None and region_hit[1].kind == "exclude":
-        i, rule = region_hit
-        return MatchDecision("filtered", i, f"region rule {i}: EXCLUDE {rule.pattern}")
-    if file_hit is not None and file_hit[1].kind == "exclude":
-        i, frule = file_hit
-        return MatchDecision("filtered", i, f"file rule {i}: EXCLUDE {frule.pattern}")
-    if region_hit is not None:
-        i, rule = region_hit
+    if rule is not None and rule.kind == "exclude":
+        return MatchDecision("filtered", ri, f"region rule {ri}: EXCLUDE {rule.pattern}")
+    if frule is not None and frule.kind == "exclude":
+        return MatchDecision("filtered", fi, f"file rule {fi}: EXCLUDE {frule.pattern}")
+    if rule is not None:
         return MatchDecision(
-            "instrument", i, f"region rule {i}: INCLUDE {rule.pattern}"
+            "instrument", ri, f"region rule {ri}: INCLUDE {rule.pattern}"
         )
-    if file_hit is not None:
-        i, frule = file_hit
-        return MatchDecision("instrument", i, f"file rule {i}: INCLUDE {frule.pattern}")
+    if frule is not None:
+        return MatchDecision("instrument", fi, f"file rule {fi}: INCLUDE {frule.pattern}")
     return MatchDecision("instrument", None, "default: no matching rule")
+
+
+def _matchers(rules: FilterRuleSet) -> tuple[Callable[[str], int], ...]:
+    """The last-match finders of the region rules on the mangled name, of
+    those on the demangled name and of the file rules, stored on ``rules``."""
+    region = list(enumerate(rules.region_rules))
+    matchers = (
+        _last_match([(i, r.pattern) for i, r in region if r.match_mangled]),
+        _last_match([(i, r.pattern) for i, r in region if not r.match_mangled]),
+        _last_match(list(enumerate(r.pattern for r in rules.file_rules))),
+    )
+    object.__setattr__(rules, "_matchers", matchers)
+    return matchers
+
+
+def _last_match(rules: list[tuple[int, str]]) -> Callable[[str], int]:
+    """A function from a name to the index of the last of ``rules``, (index,
+    glob) pairs, whose glob matches it, or -1.  Its one pattern holds the
+    globs last rule first, each in a group of its own, so the alternative
+    that matches, whose group ``lastindex`` gives, is the last rule that
+    does.  The groups are named because fnmatch's translation may hold
+    groups of its own (Python 3.10 names them g0, g1, ... per call)."""
+    if not rules:
+        return lambda name: -1
+    # Of equal globs only the last can be found.  Each glob's translation
+    # is made once, so the same glob twice would repeat its group names.
+    last: dict[str, int] = {}
+    for i, glob in reversed(rules):
+        last.setdefault(glob, i)
+    pattern = re.compile(
+        "|".join(f"(?P<r{i}>{_translate(glob)})" for glob, i in last.items())
+    )
+    rule_at = [-1] * (pattern.groups + 1)
+    for i in last.values():
+        rule_at[pattern.groupindex[f"r{i}"]] = i
+    match = pattern.match
+
+    def last_rule(name: str) -> int:
+        mo = match(name)
+        return -1 if mo is None else rule_at[mo.lastindex]
+
+    return last_rule

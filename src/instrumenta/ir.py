@@ -441,10 +441,8 @@ _PLAIN_OPS = ALL_OPS - TERMINATORS - HOOK_OPS - _CALL_OPS
 def _judge(ins: Instruction) -> tuple:
     """The verdict on ``ins``, stored on it."""
     op, args = ins.op, ins.args
-    shape = (op, *map(type, args))
-    # A call with too many arguments still fits its signature.
-    syntax = _SYNTAX.get((op, len(args))) or _syntax(op, len(args))
-    if syntax is None or syntax.shape != shape:
+    syntax = _fit(ins)
+    if syntax is None:
         if op not in ALL_OPS:
             verdict = ((("unknown-op", f"'{op}'"),), False)
         else:
@@ -464,6 +462,16 @@ def _judge(ins: Instruction) -> tuple:
             verdict = _SOUND if op in _PLAIN_OPS else _CONTEXT
     object.__setattr__(ins, "_verdict", verdict)
     return verdict
+
+
+def _fit(ins: Instruction) -> _Syntax | None:
+    """The syntax whose operand count and types ``ins`` has, or None."""
+    op, args = ins.op, ins.args
+    # A call with too many arguments still fits its signature.
+    syntax = _SYNTAX.get((op, len(args))) or _syntax(op, len(args))
+    if syntax is None or syntax.shape != (op, *map(type, args)):
+        return None
+    return syntax
 
 
 def _defects(
@@ -546,13 +554,21 @@ def format_instruction(ins: Instruction) -> str:
     ValueError; range defects, which validate reports, still print."""
     if ins._text is not None:
         return ins._text
-    defects, in_context = ins._verdict or _judge(ins)
-    if defects and not in_context:
+    verdict = ins._verdict
+    if verdict is None:
+        # Only the shape: the range checks are validate's.
+        syntax = _fit(ins)
+    elif verdict[0] and not verdict[1]:
+        syntax = None
+    else:
+        n = len(ins.args)
+        syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
+    if syntax is None:
+        if verdict is None:
+            _judge(ins)  # stores the verdict validate would
         if ins.op not in ALL_OPS:
             raise ValueError(f"unknown op {ins.op!r}")
         raise ValueError(_bad_operands(ins))
-    n = len(ins.args)
-    syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
     text = syntax.template.format(*ins.args)
     object.__setattr__(ins, "_text", text)
     return text

@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from .ir import (
     BasicBlock,
@@ -78,7 +78,7 @@ def inline_cost(f: IrFunction) -> int:
 
 def _register_counts(runs: Iterable[list[Instruction]]) -> Counter:
     """How often each register occurs as an operand in the runs."""
-    return Counter(r for run in runs for ins in run for r in _register_operands(ins))
+    return Counter(chain.from_iterable(map(_register_operands, chain.from_iterable(runs))))
 
 
 class _RegisterCounts(dict):
@@ -304,7 +304,9 @@ class _Inliner:
         before = len(counts)
         counts += _register_counts(inserted)
         # In-place subtraction drops the registers no longer used.
-        counts -= Counter(_register_operands(call))
+        regs = _register_operands(call)
+        if regs:
+            counts -= Counter(regs)
         if len(counts) < before:
             self.dirty.update(f for f, to in self.calls.items() if caller.mangled_name in to)
 

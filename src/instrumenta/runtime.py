@@ -195,9 +195,7 @@ _WRITE_BLOCK = 8192
 def write_trace(events: Iterable[TraceEvent]) -> str:
     trace = Trace.of(events)
     codes = trace.codes
-    # Each code's line, with %s for its timestamp ("%s" % x is str(x)).
-    forms = {code: f"E %s {code}\n" if code > 0 else f"X %s {-code}\n" for code in set(codes)}
-    forms[0] = "%s"  # a D record's argument is its whole line
+    forms = _LineForms({0: "%s"})  # a D record's argument is its whole line
     at = -1  # where each D record sits, with its line; popped first to last
     pending = [(at := codes.index(0, at + 1), _definition_line(ev)) for ev in trace.definitions]
     pending.reverse()
@@ -214,6 +212,15 @@ def write_trace(events: Iterable[TraceEvent]) -> str:
             args = tuple(args)
         texts.append(line_forms % args)
     return "".join(texts)
+
+
+class _LineForms(dict):
+    """Each code's line, with %s for its timestamp ("%s" % x is str(x)),
+    built on first use."""
+
+    def __missing__(self, code: int) -> str:
+        form = self[code] = f"E %s {code}\n" if code > 0 else f"X %s {-code}\n"
+        return form
 
 
 def _definition_line(ev: TraceEvent) -> str:

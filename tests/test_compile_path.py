@@ -9,18 +9,22 @@
   is the per-site walk they replaced.
 * Equal instruction lines parse to one shared ``Instruction``, and no
   pass changes a parsed module through it.
+* The printer checks only the operand shape of an instruction a pass
+  built; the rest of the verdict is validate's.  It prints what it
+  prints after ``validate`` has judged every instruction.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
 import gens
-from instrumenta import instrument, optimizer
-from instrumenta.filters import FilterRuleSet
+from instrumenta import instrument, ir, optimizer
+from instrumenta.filters import FilterRuleSet, parse_filter
 from instrumenta.instrument import InstrumentError, instrument_module
 from instrumenta.ir import (
     NUM_REGISTERS,
@@ -29,12 +33,14 @@ from instrumenta.ir import (
     IrParseError,
     IrValidationError,
     _register_operands,
+    format_instruction,
     parse_module,
     print_module,
     validate,
 )
 from instrumenta.optimizer import O0, O1, O2, O3, _Inliner, inline_pass
 from instrumenta.vm import execute
+from test_vm_patch import _workload
 
 # Lines repeat within and across functions; leaf has two blocks, so
 # inlining it remaps labels as well as registers.
@@ -290,3 +296,63 @@ def test_passes_leave_a_parsed_module_as_it_was(mode):
     assert parse_module(before) == m
     assert print_module(inlined) != before
     assert execute(instrumented).exit_value == execute(m).exit_value
+
+
+# ---------------------------------------------------------------------------
+# Printing what a pass built
+
+
+def _wide_builds() -> list[IrModule]:
+    """``compile_wide`` seed 7's plugin -O3 and auto -O3 builds."""
+    w = _workload("compile_wide", 7)
+    rules = parse_filter(w.files["rules.flt"])
+    return [
+        instrument_module(parse_module(w.files["wide.ir"]), rs, mode, O3)[0]
+        for mode, rs in (("plugin", rules), ("auto", RULES))
+    ]
+
+
+def test_printer_judges_no_instruction(monkeypatch):
+    built, checked = _wide_builds(), _wide_builds()
+    for m in built:
+        # The passes built instructions that nobody has judged yet.
+        assert sum(
+            ins._verdict is None for f in m.functions for b in f.blocks for ins in b.instructions
+        ) > 500
+    for m in checked:
+        assert validate(m) == []
+    judged = []
+    judge = ir._judge
+    monkeypatch.setattr(ir, "_judge", lambda ins: judged.append(ins) or judge(ins))
+    for m, after_validate in zip(built, checked):
+        assert print_module(m) == print_module(after_validate)
+    assert judged == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("li", (1, "x")), "'li' takes operands 'ri', got (1, 'x')"),
+        (("ret", (1, 2)), "'ret' takes operands '?', got (1, 2)"),
+        (("call", (3,)), "'call' takes operands 'f*', got (3,)"),
+        (("nop", ()), "unknown op 'nop'"),
+    ],
+)
+def test_misshapen_instruction_is_judged_then_refused(args, message):
+    ins = Instruction(*args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_instruction(ins)
+    assert ins._verdict == ir._judge(Instruction(*args))
+    assert ins._text is None
+
+
+def test_range_defects_print_unjudged():
+    for args, text in [
+        (("li", (16, 1)), "li r16, 1"),
+        (("work", (0,)), "work 0"),
+        (("call", ("f", *range(9))), "call @f, " + ", ".join(f"r{r}" for r in range(9))),
+    ]:
+        ins = Instruction(*args)
+        assert format_instruction(ins) == text
+        assert ins._verdict is None
+        assert ir._judge(ins)[0]

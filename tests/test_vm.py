@@ -12,7 +12,14 @@ from instrumenta.ir import (
     parse_module,
 )
 from instrumenta.optimizer import O0
-from instrumenta.runtime import TraceError, UnbalancedExitError, read_trace, write_trace
+from instrumenta.runtime import (
+    Trace,
+    TraceError,
+    TraceEvent,
+    UnbalancedExitError,
+    read_trace,
+    write_trace,
+)
 from instrumenta.vm import CostModel, StepLimitExceeded, VmError, execute
 
 I = Instruction.make
@@ -221,6 +228,16 @@ class TestDeterminismAndFiltering:
         b = execute(out)
         assert a == b
         assert write_trace(a.events) == write_trace(b.events)
+
+    def test_trace_without_definitions_writes_each_record(self):
+        # No D record, so no code 0: every line form is an E or an X one,
+        # written across more than one block of records.
+        events = [TraceEvent(kind, 10 * t, 2 + t % 3) for t in range(20000) for kind in "EX"]
+        text = "".join(f"{ev.kind} {ev.timestamp} {ev.handle}\n" for ev in events)
+        trace = Trace.of(events)
+        assert not trace.definitions and 0 not in trace.codes
+        assert write_trace(trace) == write_trace(events) == text
+        assert write_trace(Trace()) == ""
 
     def test_runtime_filter_silences_all_events(self, listing1):
         out, _, _ = instrument_module(listing1, FilterRuleSet(), "plugin", O0)
