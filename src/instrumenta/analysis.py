@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .filters import selects_alone
 from .runtime import Trace, TraceError, TraceEvent
 
 
@@ -148,8 +149,7 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
         raise ValueError("compare_runs needs at least one trace")
     rows: list[tuple[str, int]] = []
     # canonical name -> (pretty, counts per run)
-    regions: dict[str, list[int]] = {}
-    names: dict[str, str] = {}
+    regions: dict[str, tuple[str, list[int]]] = {}
     for run_idx, (label, trace) in enumerate(runs):
         trace = Trace.of(trace)
         codes = trace.codes
@@ -162,8 +162,7 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
             d = ev.descriptor
             assert d is not None
             handle_to_canonical[ev.handle] = d.canonical_name
-            names.setdefault(d.canonical_name, d.name)
-            regions.setdefault(d.canonical_name, [0] * len(runs))
+            regions.setdefault(d.canonical_name, (d.name, [0] * len(runs)))
         tally = Counter(codes)
         enters = {code: n for code, n in tally.items() if code > 0}
         # Any handle entered and never defined is first entered after the last D.
@@ -175,16 +174,11 @@ def compare_runs(runs: list[tuple[str, Iterable[TraceEvent]]]) -> RunComparison:
                     f"handle {handle} has {tally[handle]} enter(s) and {tally[-handle]} exit(s)"
                 )
         for handle, count in enters.items():
-            regions[handle_to_canonical[handle]][run_idx] += count
+            regions[handle_to_canonical[handle]][1][run_idx] += count
         rows.append((label, sum(enters.values())))
     per_region = [
-        RegionComparison(
-            canonical,
-            names[canonical],
-            counts,
-            [c - counts[0] for c in counts],
-        )
-        for canonical, counts in sorted(regions.items())
+        RegionComparison(canonical, name, counts, [c - counts[0] for c in counts])
+        for canonical, (name, counts) in sorted(regions.items())
     ]
     return RunComparison(rows, per_region)
 
@@ -207,9 +201,8 @@ def suggest_filter(
 
     A region qualifies when visits >= min_visits and inclusive ticks
     per visit <= max_ticks_per_visit.  Its rule names the pretty name
-    when that pattern matches the region alone; otherwise (a wildcard, a
-    name the filter parser would read back otherwise, or a name another
-    region shares) it names the canonical name, ``EXCLUDE MANGLED``.
+    when ``filters.selects_alone`` accepts it and no other region shares
+    it; otherwise it names the canonical name, ``EXCLUDE MANGLED``.
     The output always parses, even when no region qualifies.
     """
     shared = Counter(e.name for e in p.entries.values())
@@ -217,21 +210,10 @@ def suggest_filter(
     for handle in sorted(p.entries):
         e = p.entries[handle]
         if e.visits >= min_visits and e.inclusive_ticks <= max_ticks_per_visit * e.visits:
-            if shared[e.name] == 1 and _reads_back_alone(e.name):
+            if shared[e.name] == 1 and selects_alone(e.name):
                 lines.append(f"  EXCLUDE {e.name}")
             else:
                 lines.append(f"  EXCLUDE MANGLED {e.canonical}")
     lines.append("REGION_NAMES_END")
     return "\n".join(lines) + "\n"
 
-
-def _reads_back_alone(name: str) -> bool:
-    """Whether ``EXCLUDE <name>`` parses to a rule that matches ``name``
-    and no other name."""
-    return (
-        name == name.strip()
-        and len(name.splitlines()) == 1  # one line, and not empty
-        and "*" not in name
-        and "?" not in name
-        and name.partition(" ")[0] != "MANGLED"
-    )

@@ -130,23 +130,32 @@ def parse_filter(text: str) -> FilterRuleSet:
             raise FilterParseError(f"unknown directive '{head}'", lineno)
         kind: RuleKind = "include" if head == "INCLUDE" else "exclude"
         rest = rest.strip()
+        mangled = block == "region" and rest.partition(" ")[0] == "MANGLED"
+        if mangled:
+            rest = rest[len("MANGLED") :].strip()
+        if not rest:
+            raise FilterParseError("rule without pattern", lineno)
         if block == "region":
-            mangled = False
-            if rest.startswith("MANGLED ") or rest == "MANGLED":
-                mangled = True
-                rest = rest[len("MANGLED") :].strip()
-            if not rest:
-                raise FilterParseError("rule without pattern", lineno)
             region_rules.append(RegionRule(kind, rest, mangled))
         else:
-            if not rest:
-                raise FilterParseError("rule without pattern", lineno)
             file_rules.append(FileRule(kind, rest))
     if block is not None:
         raise FilterParseError(
             f"unterminated {block.upper()}_NAMES block", block_line
         )
     return FilterRuleSet(tuple(region_rules), tuple(file_rules))
+
+
+def selects_alone(name: str) -> bool:
+    """Whether the region rule ``EXCLUDE <name>`` selects the demangled name
+    ``name`` alone: it reads back as that one rule and holds no wildcard."""
+    try:
+        rules = parse_filter(f"REGION_NAMES_BEGIN\nEXCLUDE {name}\nREGION_NAMES_END")
+    except FilterParseError:
+        return False
+    return rules.region_rules == (RegionRule("exclude", name),) and not (
+        "*" in name or "?" in name
+    )
 
 
 def classify(

@@ -637,7 +637,10 @@ _IMM_RE = re.compile(r"-?\d+\Z")
 def _parse_reg(token: str, lineno: int) -> int:
     if not _REG_RE.match(token):
         raise IrParseError(f"expected register, got '{token}'", lineno)
-    idx = int(token[1:])
+    try:
+        idx = int(token[1:])
+    except ValueError:  # more digits than int() reads
+        raise IrParseError(f"register {token} out of range", lineno) from None
     if idx >= NUM_REGISTERS:
         raise IrParseError(f"register r{idx} out of range", lineno)
     return idx
@@ -646,7 +649,10 @@ def _parse_reg(token: str, lineno: int) -> int:
 def _parse_imm(token: str, lineno: int) -> int:
     if not _IMM_RE.match(token):
         raise IrParseError(f"expected integer, got '{token}'", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() reads
+        raise IrParseError(f"integer '{token}' has too many digits", lineno) from None
 
 
 def _parse_label_ref(token: str, lineno: int) -> str:
@@ -811,7 +817,7 @@ def _parse_func_header(line: str) -> IrFunction:
             mo = _LINES_RE.match(line, pos)
             if not mo:
                 raise _SyntaxAt("lines= needs <a>:<b>", pos)
-            begin, end = int(mo.group(1)), int(mo.group(2))
+            begin, end = (_number(mo, k, "lines= number") for k in (1, 2))
             pos = mo.end()
         else:  # attrs
             mo = _ATTRS_RE.match(line, pos)
@@ -845,7 +851,7 @@ def _parse_region_line(line: str) -> RegionDescriptor:
     mo = _REGION_ID_RE.match(line, pos)
     if not mo:
         raise _SyntaxAt("region line needs <id> name=...", pos)
-    rid = int(mo.group(1))
+    rid = _number(mo, 1, "region id")
     name, pos = _read_quoted(line, mo.end())
     strings = []
     for key, key_re in _REGION_KEY_RES.items():
@@ -863,10 +869,19 @@ def _parse_region_line(line: str) -> RegionDescriptor:
         name=name,
         canonical_name=canonical,
         file=file,
-        begin_lno=int(mo.group(1)),
-        end_lno=int(mo.group(2)),
-        flags=int(mo.group(3)),
+        begin_lno=_number(mo, 1, "lines= number"),
+        end_lno=_number(mo, 2, "lines= number"),
+        flags=_number(mo, 3, "flags= number"),
     )
+
+
+def _number(mo: re.Match[str], group: int, what: str) -> int:
+    """The decimal number in ``group`` of a header's match ``mo``; one with
+    more digits than int() reads is a syntax error at its column."""
+    try:
+        return int(mo.group(group))
+    except ValueError:
+        raise _SyntaxAt(f"{what} has too many digits", mo.start(group)) from None
 
 
 class _ParsedLines(dict):

@@ -3,8 +3,8 @@
 Only a small, documented subset of the Itanium C++ ABI scheme is
 understood: plain names (``_Z<len><name>``), nested names
 (``_ZN(<len><name>)+E``), and the builtin parameter codes v, i, l, c,
-d, b.  Everything else passes through unchanged, which keeps the
-function total and idempotent.
+d, b, with ``<len>`` in ASCII digits.  Everything else passes through
+unchanged, which keeps the function total and idempotent.
 """
 
 from __future__ import annotations
@@ -37,41 +37,29 @@ def demangle(mangled: str) -> str:
     return pretty if pretty is not None else mangled
 
 
-def _read_source_name(text: str, pos: int) -> tuple[str, int] | None:
-    # <len><name> with len a positive decimal number.
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        return None
-    length = int(text[start:pos])
-    if length <= 0 or pos + length > len(text):
-        return None
-    return text[pos : pos + length], pos + length
-
-
 def _try_demangle(mangled: str) -> str | None:
-    pos = 2  # past "_Z"
+    # One <len><name> after "_Z", or one or more between "_ZN" and "E";
+    # <len> is a positive decimal number in ASCII digits.
+    end = len(mangled)
+    nested = mangled[2:3] == "N"
+    pos = 3 if nested else 2
     parts: list[str] = []
-    if pos < len(mangled) and mangled[pos] == "N":
-        pos += 1
-        while pos < len(mangled) and mangled[pos] != "E":
-            item = _read_source_name(mangled, pos)
-            if item is None:
-                return None
-            name, pos = item
-            parts.append(name)
-        if pos >= len(mangled) or not parts:
+    while True:
+        start = pos
+        while pos < end and "0" <= mangled[pos] <= "9":
+            pos += 1
+        try:
+            length = int(mangled[start:pos])
+        except ValueError:  # no digits, or more than int() reads
             return None
-        pos += 1  # consume "E"
-    else:
-        item = _read_source_name(mangled, pos)
-        if item is None:
+        if length <= 0 or pos + length > end:
             return None
-        name, pos = item
-        parts.append(name)
+        parts.append(mangled[pos : pos + length])
+        pos += length
+        if not nested or mangled[pos : pos + 1] == "E":
+            break
 
-    codes = mangled[pos:]
+    codes = mangled[pos + nested :]  # past the "E" of a nested name
     if not codes or any(c not in _PARAM_CODES for c in codes):
         return None
     if codes == "v":

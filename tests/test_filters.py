@@ -9,6 +9,7 @@ from instrumenta.filters import (
     RegionRule,
     classify,
     parse_filter,
+    selects_alone,
     wildcard_match,
 )
 from instrumenta.instrument import instrument_module
@@ -58,6 +59,12 @@ class TestParseFilter:
             "REGION_NAMES_BEGIN\nEXCLUDE MANGLED _Z4funci\nREGION_NAMES_END\n"
         )
         assert rs.region_rules == (RegionRule("exclude", "_Z4funci", True),)
+
+    @pytest.mark.parametrize("pattern", ["MANGLED x.c", "MANGLED", "MANGLED  *.c"])
+    def test_file_block_reads_mangled_as_pattern(self, pattern):
+        # Only a region block knows the MANGLED word.
+        rs = parse_filter(f"FILE_NAMES_BEGIN\nEXCLUDE {pattern}\nFILE_NAMES_END\n")
+        assert rs.file_rules == (FileRule("exclude", pattern),)
 
     def test_file_rules_and_order(self):
         rs = parse_filter(
@@ -312,3 +319,27 @@ class TestFilterThroughCallers:
             "main",
             "ns::other(int)",
         ]
+
+
+@pytest.mark.parametrize(
+    "name, alone",
+    [
+        ("f(int)", True),
+        ("f[ab]", True),
+        ("# f", True),
+        ("a  b", True),
+        ("MANGLEDx()", True),
+        ("MANGLED\tg()", True),
+        ("f(char*)", False),
+        ("get(T?)", False),
+        ("", False),
+        (" lead()", False),
+        ("trail() ", False),
+        ("MANGLED", False),
+        ("MANGLED g()", False),
+        *((f"a{c}b", False) for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    ],
+)
+def test_selects_alone(name, alone):
+    # EXCLUDE <name> reads back as one rule on the demangled name, without wildcards.
+    assert selects_alone(name) is alone
