@@ -513,7 +513,8 @@ _STRING_RE = re.compile(_STRING + '(")?')
 _ESCAPE_RE = re.compile(r"\\(.)")
 # Both readers split lines with str.splitlines first, so a string holding
 # any of these characters could not be read back.
-_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK_RE = re.compile(f"[{_LINE_BREAKS}]")
 
 
 class _SyntaxAt(Exception):
@@ -554,18 +555,10 @@ def format_instruction(ins: Instruction) -> str:
     ValueError; range defects, which validate reports, still print."""
     if ins._text is not None:
         return ins._text
-    verdict = ins._verdict
-    if verdict is None:
-        # Only the shape: the range checks are validate's.
-        syntax = _fit(ins)
-    elif verdict[0] and not verdict[1]:
-        syntax = None
-    else:
-        n = len(ins.args)
-        syntax = _SYNTAX.get((ins.op, n)) or _syntax(ins.op, n)
+    # Only the shape: the range checks are validate's.
+    syntax = _fit(ins)
     if syntax is None:
-        if verdict is None:
-            _judge(ins)  # stores the verdict validate would
+        _judge(ins)  # stores the verdict validate would
         if ins.op not in ALL_OPS:
             raise ValueError(f"unknown op {ins.op!r}")
         raise ValueError(_bad_operands(ins))
@@ -620,18 +613,15 @@ _CODE_RE = re.compile(f'(?:[^;"]+|{_STRING}")*')
 
 
 def _strip_comment(line: str) -> str:
-    # ';' starts a comment unless inside a quoted string.  Without a
-    # quote no backslash escapes anything, so the first ';' decides.
-    if '"' not in line:
-        return line.partition(";")[0]
+    # ';' starts a comment unless inside a quoted string.
     end = _CODE_RE.match(line).end()
     # Short of a ';', a malformed string stopped the match: keep the
     # whole line, which the parser then rejects.
     return line[:end] if line.startswith(";", end) else line
 
 
-_REG_RE = re.compile(r"r\d+\Z")
-_IMM_RE = re.compile(r"-?\d+\Z")
+_REG_RE = re.compile(r"r[0-9]+\Z")
+_IMM_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def _parse_reg(token: str, lineno: int) -> int:
@@ -769,12 +759,37 @@ def _reject_operand_count(op: str, operands: list[str], lineno: int) -> NoReturn
     raise IrParseError(f"'{op}' expects {bound}{count} operand(s)", lineno)
 
 
-# A module or func header separates its fields by spaces or tabs.
+# A module, func or region line separates its fields by spaces or tabs.
 _BLANK_RE = re.compile(r"[ \t]")
 _BLANKS_RE = re.compile(r"[ \t]*")
-_FUNC_KV_RE = re.compile(r"(pretty|file|lines|attrs)=")
-_LINES_RE = re.compile(r"(\d+):(\d+)")
+_LINES_RE = re.compile(r"([0-9]+):([0-9]+)")
 _ATTRS_RE = re.compile(r"[A-Za-z_,]+")
+
+
+def _read_range(line: str, pos: int) -> tuple[tuple[int, int], int]:
+    mo = _LINES_RE.match(line, pos)
+    if not mo:
+        raise _SyntaxAt("lines= needs <a>:<b>", pos)
+    return (_number(mo, 1, "lines= number"), _number(mo, 2, "lines= number")), mo.end()
+
+
+def _read_attrs(line: str, pos: int) -> tuple[set[str], int]:
+    mo = _ATTRS_RE.match(line, pos)
+    if not mo:
+        raise _SyntaxAt("attrs= needs a name list", pos)
+    attrs = mo.group(0).split(",")
+    for a in attrs:
+        if a not in FUNCTION_ATTRS:
+            raise _SyntaxAt(f"unknown attribute '{a}'", pos)
+        pos += len(a) + 1
+    return set(attrs), mo.end()
+
+
+# Each func header key's reader: the value at a position, and the index past it.
+_FUNC_FIELDS = {
+    "pretty": _read_quoted, "file": _read_quoted, "lines": _read_range, "attrs": _read_attrs
+}
+_FUNC_KV_RE = re.compile(f"({'|'.join(_FUNC_FIELDS)})=")
 
 
 def _parse_func_header(line: str) -> IrFunction:
@@ -790,11 +805,7 @@ def _parse_func_header(line: str) -> IrFunction:
     if not _NAME_RE.match(name):
         raise _SyntaxAt(f"bad function name '{name}'", pos + 1)
     pos = name_end
-    pretty: str | None = None
-    file: str | None = None
-    begin = end = None
-    attrs: set[str] = set()
-    keys: set[str] = set()
+    fields: dict = {}
     while pos < len(line):
         if line[pos] in " \t":
             pos += 1
@@ -805,49 +816,24 @@ def _parse_func_header(line: str) -> IrFunction:
                 f"unexpected token '{line[pos:].split()[0]}' in func header", pos
             )
         key = mo.group(1)
-        if key in keys:
+        if key in fields:
             raise _SyntaxAt(f"repeated key '{key}=' in func header", pos)
-        keys.add(key)
-        pos = mo.end()
-        if key == "pretty":
-            pretty, pos = _read_quoted(line, pos)
-        elif key == "file":
-            file, pos = _read_quoted(line, pos)
-        elif key == "lines":
-            mo = _LINES_RE.match(line, pos)
-            if not mo:
-                raise _SyntaxAt("lines= needs <a>:<b>", pos)
-            begin, end = (_number(mo, k, "lines= number") for k in (1, 2))
-            pos = mo.end()
-        else:  # attrs
-            mo = _ATTRS_RE.match(line, pos)
-            if not mo:
-                raise _SyntaxAt("attrs= needs a name list", pos)
-            for a in mo.group(0).split(","):
-                if a not in FUNCTION_ATTRS:
-                    raise _SyntaxAt(f"unknown attribute '{a}'", pos)
-                attrs.add(a)
-                pos += len(a) + 1
-            pos = mo.end()
-    if file is None or begin is None:
+        fields[key], pos = _FUNC_FIELDS[key](line, mo.end())
+    if "file" not in fields or "lines" not in fields:
         raise _SyntaxAt("func header needs file= and lines=", 0)
+    begin, end = fields["lines"]
     return IrFunction(
-        mangled_name=name,
-        file=file,
-        begin_line=begin,
-        end_line=end,
-        demangled_name=pretty,
-        attrs=attrs,
+        name, fields["file"], begin, end, fields.get("pretty"), fields.get("attrs", set())
     )
 
 
-_REGION_ID_RE = re.compile(r"(\d+)\s+name=")
-_REGION_KEY_RES = {key: re.compile(rf"\s+{key}=") for key in ("canonical", "file")}
-_REGION_TAIL_RE = re.compile(r"\s+lines=(\d+):(\d+)\s+flags=(\d+)\s*\Z")
+_REGION_ID_RE = re.compile(r"([0-9]+)[ \t]+name=")
+_REGION_KEY_RES = {key: re.compile(rf"[ \t]+{key}=") for key in ("canonical", "file")}
+_REGION_TAIL_RE = re.compile(r"[ \t]+lines=([0-9]+):([0-9]+)[ \t]+flags=([0-9]+)[ \t]*\Z")
 
 
 def _parse_region_line(line: str) -> RegionDescriptor:
-    pos = len(line) - len(line[len("region") :].lstrip())
+    pos = _BLANKS_RE.match(line, len("region")).end()
     mo = _REGION_ID_RE.match(line, pos)
     if not mo:
         raise _SyntaxAt("region line needs <id> name=...", pos)

@@ -1,12 +1,15 @@
 """Monitoring runtime: lazy region registration, runtime filtering,
-event recording into the columnar Trace, and the text trace format.
+the columnar Trace, and the text trace format.
 
 A region's handle starts out unregistered, transitions exactly once to
 either a valid handle or the FILTERED sentinel, and never changes
-afterwards.  The VM's hook path records enter/exit into a Monitor:
-for filtered regions they are cheap no-ops; for valid handles they
-append events and maintain a shadow stack that catches unbalanced
-instrumentation.
+afterwards.  A Monitor holds one run's state: the handles by region id,
+the Trace and a shadow stack of open regions.  Its one method,
+``register_region``, assigns a handle and appends the Definition record.
+``vm.execute`` writes the Trace's columns and the shadow stack itself:
+an enter or exit of a filtered region records nothing; one of a valid
+handle appends an event, and an exit that does not close the innermost
+open region raises UnbalancedExitError.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from operator import eq, getitem
 from typing import Literal, NamedTuple
 
 from .filters import FilterRuleSet, classify
-from .ir import _STRING, RegionDescriptor, _quote, _read_quoted, _SyntaxAt, _unescape
+from .ir import _LINE_BREAKS, _STRING, RegionDescriptor, _quote, _read_quoted, _SyntaxAt, _unescape
 
 FILTERED_REGION = 1
 FIRST_VALID_HANDLE = 2
@@ -263,7 +266,7 @@ _CHUNK_CHARS = 1 << 16
 # A D record in the form write_trace gives it, through its line break.
 _DEFINITION = re.compile(rf'D ([0-9]+) {_STRING}" {_STRING}" {_STRING}" ([0-9]+):([0-9]+)\n')
 # The characters besides "\n" at which str.splitlines ends a line.
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_OTHER_BREAKS = _LINE_BREAKS.replace("\n", "")
 
 
 def read_trace(text: str) -> Trace:
@@ -431,12 +434,7 @@ def _read_lines(
         line = line.strip()
         if not line:
             continue
-        if '"' in line:
-            fields = _split_trace_line(line, lineno)
-        else:  # the same fields as the quote-aware scanner's
-            fields = line.split(" ")
-            if "" in fields:
-                fields = list(filter(None, fields))
+        fields = _split_trace_line(line, lineno)
         kind = fields[0]
         if kind == "D":
             if len(fields) != 6:

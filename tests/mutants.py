@@ -89,6 +89,38 @@ MUTANTS = [
         ("tests/test_analysis.py",),
         "One path per job where function names become filter decisions",
     ),
+    # The func header reader accepts a repeated key.
+    Mutant(
+        "ir.py",
+        "        if key in fields:\n",
+        "        if False:\n",
+        ("tests/test_ir.py",),
+        "One path per job in the text front ends",
+    ),
+    # The printer refuses a misshapen instruction without judging it first.
+    Mutant(
+        "ir.py",
+        "        _judge(ins)  # stores the verdict validate would\n",
+        "",
+        ("tests/test_compile_path.py",),
+        "One path per job in the text front ends",
+    ),
+    # A malformed string short of a ';' loses the rest of its line.
+    Mutant(
+        "ir.py",
+        'return line[:end] if line.startswith(";", end) else line',
+        "return line[:end]",
+        ("tests/test_string_oracle.py",),
+        "One path per job in the text front ends",
+    ),
+    # The line loop splits a line at each single space.
+    Mutant(
+        "runtime.py",
+        "fields = _split_trace_line(line, lineno)",
+        'fields = line.split(" ")',
+        ("tests/test_line_loop.py",),
+        "One path per job in the text front ends",
+    ),
 ]
 
 

@@ -8,6 +8,7 @@ from instrumenta.cli import main
 from instrumenta.filters import parse_filter
 from instrumenta.ir import parse_module
 from instrumenta.runtime import read_trace
+from test_ir import NON_ASCII
 from test_vm_patch import _workload
 
 LISTING1 = CORPUS_DIR / "listing1.ir"
@@ -102,6 +103,14 @@ class TestInstrument:
         bad = tmp_path / "bad.ir"
         bad.write_text('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  jmp ^gone\n}\n')
         assert run_cli("instrument", bad, "-o", out_ir, "--mode", "plugin", "-O0") == 2
+
+    @pytest.mark.parametrize("text, message", NON_ASCII)
+    def test_non_ascii_digit_or_blank_is_input_error(self, tmp_path, out_ir, capsys, text, message):
+        bad = tmp_path / "bad.ir"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli("instrument", bad, "-o", out_ir, "--mode", "plugin", "-O0") == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_ir.exists()
 
     @pytest.mark.parametrize("command", ["instrument", "run"])
     @pytest.mark.parametrize(

@@ -293,6 +293,52 @@ def test_extern_and_block_label_error_position(text, line, message):
     assert str(exc.value) == f"line {line}, col 1: {message}"
 
 
+def _region_with(old, new):
+    line = 'region 0 name="a" canonical="b" file="c" lines=1:1 flags=0'
+    return _region(line.replace(old, new, 1))
+
+
+# Numbers are ASCII digits and separators spaces or tabs: text that
+# int() or \s would also read fails to print back as it was written.
+NON_ASCII = [
+    (_body("^e:", "  li r\u0661, 7", "  ret"), "line 5, col 1: expected register, got 'r\u0661'"),
+    (_body("^e:", "  li r1, \u0667", "  ret"), "line 5, col 1: expected integer, got '\u0667'"),
+    (_body("^e:", "  li r1, -\u0667", "  ret"), "line 5, col 1: expected integer, got '-\u0667'"),
+    (_body("^e:", "  addi r1, r1, \uff11", "  ret"),
+     "line 5, col 1: expected integer, got '\uff11'"),
+    (_body("^e:", "  work \u0663", "  ret"), "line 5, col 1: expected integer, got '\u0663'"),
+    (_body("^e:", "  hook.enter \u0660", "  ret"), "line 5, col 1: expected integer, got '\u0660'"),
+    (_func('func @f file="a.c" lines=\u0661:2'), "line 2, col 26: lines= needs <a>:<b>"),
+    (_func('func @f file="a.c" lines=1:\u0662'), "line 2, col 26: lines= needs <a>:<b>"),
+    (_func('func @f file="a.c" lines=1:2\u0663'),
+     "line 2, col 29: unexpected token '\u0663' in func header"),
+    (_region_with("0", "\u0660"), "line 8, col 8: region line needs <id> name=..."),
+    (_region_with("0", "\u0661\u0660"), "line 8, col 8: region line needs <id> name=..."),
+    (_region_with(" 0", " \xa00"), "line 8, col 8: region line needs <id> name=..."),
+    (_region_with(" name", "\xa0name"), "line 8, col 8: region line needs <id> name=..."),
+    (_region_with(" canonical", "\u2003canonical"),
+     "line 8, col 18: region line needs canonical="),
+    (_region_with(" file", "\xa0file"), "line 8, col 32: region line needs file="),
+    (_region_with(" lines", "\xa0lines"),
+     "line 8, col 41: region line needs lines=<a>:<b> flags=<u32>"),
+    (_region_with("=1:", "=\u0661:"),
+     "line 8, col 41: region line needs lines=<a>:<b> flags=<u32>"),
+    (_region_with(":1", ":\u0661"),
+     "line 8, col 41: region line needs lines=<a>:<b> flags=<u32>"),
+    (_region_with(" flags", "\xa0flags"),
+     "line 8, col 41: region line needs lines=<a>:<b> flags=<u32>"),
+    (_region_with("=0", "=\u0660"),
+     "line 8, col 41: region line needs lines=<a>:<b> flags=<u32>"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_ASCII)
+def test_non_ascii_digits_and_blanks_are_rejected(text, message):
+    with pytest.raises(IrParseError) as exc:
+        parse_module(text)
+    assert str(exc.value) == message
+
+
 def test_instruction_lines_take_no_tab_after_the_mnemonic():
     with pytest.raises(IrParseError, match="unknown instruction 'ret\\tr0'"):
         parse_module('module "m"\nfunc @f file="a.c" lines=1:2\n{\n^e:\n  ret\tr0\n}\n')
